@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks of the software inference path: digital
 // down-conversion, matched-filter scoring, per-qubit head inference, and
-// whole-shot classification for each design. (FPGA latency is modeled in
-// fpga/latency.h; these numbers characterize the reference implementation.)
+// whole-shot classification for each design, plus the per-stage breakdown
+// of the float, int16 and int8 datapaths (front-end per shot and per block,
+// heads per shot and batched). (FPGA latency is modeled in fpga/latency.h;
+// these numbers characterize the reference implementation.)
 //
 // Besides the console table, every run writes google-benchmark's JSON
 // (tagged with the git sha and compiled SIMD tier via custom context) to
@@ -16,6 +18,8 @@
 #include "bench_util.h"
 #include "discrim/fnn_baseline.h"
 #include "discrim/proposed.h"
+#include "discrim/quantized8_proposed.h"
+#include "discrim/quantized_proposed.h"
 #include "dsp/demodulator.h"
 #include "pipeline/readout_engine.h"
 #include "readout/dataset.h"
@@ -31,6 +35,8 @@ struct BenchState {
   ProposedDiscriminator proposed;
   FnnDiscriminator fnn;
   Demodulator demod;
+  QuantizedProposedDiscriminator int16;
+  Quantized8ProposedDiscriminator int8;
 
   static const BenchState& get() {
     static const BenchState state = [] {
@@ -47,8 +53,14 @@ struct BenchState {
       FnnDiscriminator f = FnnDiscriminator::train(
           ds.shots, ds.training_labels, ds.train_idx, ds.chip, fcfg);
       Demodulator d(ds.chip);
+      QuantizedProposedDiscriminator q16 =
+          QuantizedProposedDiscriminator::quantize(p, ds.shots, ds.train_idx,
+                                                   QuantizationConfig{});
+      Quantized8ProposedDiscriminator q8 =
+          Quantized8ProposedDiscriminator::quantize(p, ds.shots,
+                                                    ds.train_idx);
       return BenchState{std::move(ds), std::move(p), std::move(f),
-                        std::move(d)};
+                        std::move(d),  std::move(q16), std::move(q8)};
     }();
     return state;
   }
@@ -145,6 +157,117 @@ void BM_FusedFrontendFeatures(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FusedFrontendFeatures);
+
+// Per-stage breakdown of the integer datapaths. Both share the fused int16
+// front-end, calibrated per design: the int16 design's 16-bit kernel grid
+// runs strip 1 (every madd block flushes into the split int32 halves), the
+// int8 design's 8-bit grid runs deep int32 strips. Block and batched rows
+// report items = shots, so their per-shot cost is 1 / items_per_second.
+constexpr std::size_t kStageBlock = 64;
+
+struct Int16Path {
+  using Design = QuantizedProposedDiscriminator;
+  using Logit = std::int64_t;
+  using Act = std::int16_t;
+  static const Design& get() { return BenchState::get().int16; }
+};
+
+struct Int8Path {
+  using Design = Quantized8ProposedDiscriminator;
+  using Logit = std::int32_t;
+  using Act = std::uint8_t;
+  static const Design& get() { return BenchState::get().int8; }
+};
+
+/// The first kStageBlock held frames, as the block front-end takes them.
+std::vector<const IqTrace*> stage_frames() {
+  const BenchState& s = BenchState::get();
+  std::vector<const IqTrace*> frames;
+  for (std::size_t k = 0; k < kStageBlock; ++k)
+    frames.push_back(&s.ds.shots.traces[k % s.ds.shots.size()]);
+  return frames;
+}
+
+/// Feature codes of the stage frames, row-major kStageBlock x n_filters.
+template <class P>
+std::vector<std::int32_t> stage_features() {
+  const QuantizedFrontend& fe = P::get().frontend();
+  std::vector<std::int32_t> feats(kStageBlock * fe.n_filters());
+  InferenceScratch scratch;
+  fe.features_block_into(kStageBlock, stage_frames().data(), scratch,
+                         feats.data(), fe.n_filters());
+  return feats;
+}
+
+template <class P>
+void BM_IntFrontendShot(benchmark::State& state) {
+  const QuantizedFrontend& fe = P::get().frontend();
+  const IqTrace& trace = BenchState::get().ds.shots.traces[5];
+  InferenceScratch scratch;
+  for (auto _ : state) {
+    fe.features_into(trace, scratch);
+    benchmark::DoNotOptimize(scratch.int_features.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_TEMPLATE(BM_IntFrontendShot, Int16Path);
+BENCHMARK_TEMPLATE(BM_IntFrontendShot, Int8Path);
+
+template <class P>
+void BM_IntFrontendBlock(benchmark::State& state) {
+  const QuantizedFrontend& fe = P::get().frontend();
+  const std::vector<const IqTrace*> frames = stage_frames();
+  std::vector<std::int32_t> feats(kStageBlock * fe.n_filters());
+  InferenceScratch scratch;
+  for (auto _ : state) {
+    fe.features_block_into(kStageBlock, frames.data(), scratch, feats.data(),
+                           fe.n_filters());
+    benchmark::DoNotOptimize(feats.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStageBlock));
+}
+BENCHMARK_TEMPLATE(BM_IntFrontendBlock, Int16Path);
+BENCHMARK_TEMPLATE(BM_IntFrontendBlock, Int8Path);
+
+template <class P>
+void BM_IntHeadsShot(benchmark::State& state) {
+  const typename P::Design& d = P::get();
+  const std::vector<std::int32_t> feats = stage_features<P>();
+  const std::span<const std::int32_t> row(feats.data(),
+                                          d.frontend().n_filters());
+  std::vector<typename P::Logit> logits;
+  std::vector<typename P::Act> act_a, act_b;
+  for (auto _ : state)
+    for (std::size_t q = 0; q < d.num_qubits(); ++q)
+      benchmark::DoNotOptimize(d.head(q).predict(row, logits, act_a, act_b));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_TEMPLATE(BM_IntHeadsShot, Int16Path);
+BENCHMARK_TEMPLATE(BM_IntHeadsShot, Int8Path);
+
+template <class P>
+void BM_IntHeadsBatch(benchmark::State& state) {
+  const typename P::Design& d = P::get();
+  const std::vector<std::int32_t> feats = stage_features<P>();
+  std::vector<typename P::Logit> logits;
+  std::vector<typename P::Act> act_a, act_b;
+  std::vector<int> labels(kStageBlock * d.num_qubits());
+  for (auto _ : state) {
+    for (std::size_t q = 0; q < d.num_qubits(); ++q)
+      d.head(q).classify_batch_into(kStageBlock, feats.data(), act_a, act_b,
+                                    logits, labels.data() + q,
+                                    d.num_qubits());
+    benchmark::DoNotOptimize(labels.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStageBlock));
+}
+BENCHMARK_TEMPLATE(BM_IntHeadsBatch, Int16Path);
+BENCHMARK_TEMPLATE(BM_IntHeadsBatch, Int8Path);
 
 }  // namespace
 

@@ -14,7 +14,7 @@
 // float), and they are reachable on every platform regardless of tier.
 //
 // Integer contract — the part the fixed-point requantization relies on:
-// dot_i16 / fused_dot_i16 accumulate exact int64 sums of int16 x int16
+// dot_i16 / fused_dot_i16 return exact int64 sums of int16 x int16
 // products. Integer addition is associative, so any vector reassociation
 // is bit-identical to the scalar loop — PROVIDED no intermediate
 // overflows. The madd-based paths sum adjacent product pairs in int32
@@ -23,15 +23,27 @@
 // operand (kernels / weights) therefore must not contain -32768. Codes
 // produced by fit_format over a symmetric range satisfy this by
 // construction (|code| <= 2^(W-1)-1); QuantizedFrontend::build and
-// QuantizedMlp::quantize additionally assert it. The `b` operand (trace /
-// activation codes) may use the full int16 range including -32768.
+// QuantizedMlp::quantize additionally assert it, and both loaders re-check
+// it. The `b` operand (trace / activation codes) may use the full int16
+// range including -32768.
+//
+// The x86 tiers never widen a madd result to int64 in the hot loop: each
+// int32 partial p is split as 65536 * (p >> 16) + (p & 0xFFFF), the halves
+// accumulate in int32 lanes that stay exact for 2^12 flushes per lane, and
+// recombine in int64 once per 2^12 flushes — once per call for every row
+// this repo runs (see "x86 int16 MAC kernels" below).
 //
 // fused_dot_i16_strip additionally lets the caller certify that `strip`
-// consecutive madd blocks can accumulate in an int32 lane before the
-// int64 flush: strip * 2 * max|a| * 2^15 <= 2^31 - 1, with max|a| the
-// largest kernel-code magnitude. Narrow kernel grids (the common case)
-// thus amortize the widening over many blocks; strip <= 1 degrades to
-// fused_dot_i16. Every sum is exact, so all variants are bit-identical.
+// consecutive madd blocks can accumulate in a plain int32 lane before the
+// split flush: strip * 2 * max|a| * 2^15 <= 2^31 - 1, with max|a| the
+// largest kernel-code magnitude. Narrow kernel grids thus flush once per
+// many blocks; strip <= 1 (full-range codes) flushes every block.
+// fused_dot_i16_strip_x4 scores four trace streams per kernel-row load at
+// any strip. Every sum is exact, so all variants are bit-identical.
+//
+// madd_split_pairs_i16 is the batched int16 heads' kernel: shots in SIMD
+// lanes, each weight split as w = 256 * wh + wl so that whole layers of up
+// to kMaxSplitPairs input pairs accumulate exactly in int32.
 //
 // Float contract: vector kernels reassociate the sum (lane-striped
 // partial accumulators), so results differ from the scalar loop by
@@ -42,6 +54,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/fixed_point.h"
 
@@ -163,6 +176,37 @@ inline std::int64_t fused_dot_i16_scalar(const std::int16_t* kr,
   return acc;
 }
 
+/// Largest pair count madd_split_pairs_i16 keeps exact in int32.
+constexpr std::size_t kMaxSplitPairs = 127;
+
+/// One output row of the batched int16 heads across `shots` shot lanes.
+/// Activations come as input pairs interleaved per shot: input 2p+k of
+/// shot s is act[p * act_stride + 2 * s + k]. The row's weights come split
+/// as w = 256 * wh + wl (wh in [-128, 127], wl in [0, 255]), 2 * n_pairs
+/// codes each in input order. Writes
+///   hi[s] = sum_i wh[i] * x_s[i],   lo[s] = sum_i wl[i] * x_s[i],
+/// so the row's dot product is 256 * hi[s] + lo[s]. Exact in int32 for
+/// n_pairs <= kMaxSplitPairs at any int16 activations, -32768 included:
+/// 127 pairs * 2 * 255 * 2^15 < 2^31.
+inline void madd_split_pairs_i16_scalar(const std::int16_t* wh,
+                                        const std::int16_t* wl,
+                                        std::size_t n_pairs,
+                                        const std::int16_t* act,
+                                        std::size_t act_stride,
+                                        std::size_t shots, std::int32_t* hi,
+                                        std::int32_t* lo) {
+  for (std::size_t s = 0; s < shots; ++s) {
+    std::int32_t h = 0, l = 0;
+    for (std::size_t p = 0; p < n_pairs; ++p) {
+      const std::int16_t* x = act + p * act_stride + 2 * s;
+      h += wh[2 * p] * x[0] + wh[2 * p + 1] * x[1];
+      l += wl[2 * p] * x[0] + wl[2 * p + 1] * x[1];
+    }
+    hi[s] = h;
+    lo[s] = l;
+  }
+}
+
 /// sum_i u[i]*w[i] with u unsigned 8-bit and w signed 8-bit — the vpdpbusd
 /// operand convention of the int8 MLP (activations carry a +128 bias that
 /// the caller corrects with a per-row constant). The int32 accumulator is
@@ -207,15 +251,24 @@ inline float hsum_f32(__m256 v) {
   return _mm_cvtss_f32(lo);
 }
 
-inline std::int64_t hsum_i64(__m256i v) {
-  // Lane extraction via store: _mm_cvtsi128_si64 does not exist on 32-bit
-  // x86 targets, which can still reach this tier (MSVC /arch:AVX2).
-  const __m128i pair = _mm_add_epi64(_mm256_castsi256_si128(v),
-                                     _mm256_extracti128_si256(v, 1));
-  alignas(16) std::int64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), pair);
-  return lanes[0] + lanes[1];
+// Integer primitives the shared x86 int16 MAC kernels are written against
+// (see "x86 int16 MAC kernels" below); the SSE2 tier defines the same set
+// on __m128i.
+using VecI = __m256i;
+constexpr std::size_t kI16Lanes = 16;
+
+inline VecI zero_i32() { return _mm256_setzero_si256(); }
+inline VecI set1_i32(std::int32_t x) { return _mm256_set1_epi32(x); }
+inline VecI load_i16(const std::int16_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
+inline void store_i32(std::int32_t* p, VecI v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+inline VecI madd_i16(VecI a, VecI b) { return _mm256_madd_epi16(a, b); }
+inline VecI add_i32(VecI a, VecI b) { return _mm256_add_epi32(a, b); }
+inline VecI sub_i32(VecI a, VecI b) { return _mm256_sub_epi32(a, b); }
+inline VecI hi16_i32(VecI p) { return _mm256_srai_epi32(p, 16); }
 
 inline std::int32_t hsum_i32(__m256i v) {
   __m128i lo = _mm_add_epi32(_mm256_castsi256_si128(v),
@@ -231,14 +284,6 @@ inline __m256 fmadd(__m256 a, __m256 b, __m256 c) {
 #else
   return _mm256_add_ps(_mm256_mul_ps(a, b), c);
 #endif
-}
-
-/// acc (4 x int64) += sign-extended lanes of p (8 x int32).
-inline __m256i add_madd_i64(__m256i acc, __m256i p) {
-  acc = _mm256_add_epi64(acc,
-                         _mm256_cvtepi32_epi64(_mm256_castsi256_si128(p)));
-  return _mm256_add_epi64(acc,
-                          _mm256_cvtepi32_epi64(_mm256_extracti128_si256(p, 1)));
 }
 
 }  // namespace detail
@@ -349,142 +394,6 @@ inline void dot4_f32(const float* shared, const float* b0, const float* b1,
   }
 }
 
-inline std::int64_t dot_i16(const std::int16_t* a, const std::int16_t* b,
-                            std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i p = _mm256_madd_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc = detail::add_madd_i64(acc, p);
-  }
-  std::int64_t sum = detail::hsum_i64(acc);
-  for (; i < n; ++i)
-    sum += static_cast<std::int64_t>(static_cast<std::int32_t>(a[i]) * b[i]);
-  return sum;
-}
-
-inline std::int64_t fused_dot_i16(const std::int16_t* kr,
-                                  const std::int16_t* ki,
-                                  const std::int16_t* xi,
-                                  const std::int16_t* xq, std::size_t n) {
-  __m256i accr = _mm256_setzero_si256();
-  __m256i acci = _mm256_setzero_si256();
-  std::size_t t = 0;
-  for (; t + 16 <= n; t += 16) {
-    const __m256i pr = _mm256_madd_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kr + t)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xi + t)));
-    const __m256i pi = _mm256_madd_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ki + t)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xq + t)));
-    accr = detail::add_madd_i64(accr, pr);
-    acci = detail::add_madd_i64(acci, pi);
-  }
-  std::int64_t sum = detail::hsum_i64(accr) - detail::hsum_i64(acci);
-  for (; t < n; ++t)
-    sum += static_cast<std::int64_t>(static_cast<std::int32_t>(kr[t]) * xi[t] -
-                                     static_cast<std::int32_t>(ki[t]) * xq[t]);
-  return sum;
-}
-
-inline std::int64_t fused_dot_i16_strip(const std::int16_t* kr,
-                                        const std::int16_t* ki,
-                                        const std::int16_t* xi,
-                                        const std::int16_t* xq, std::size_t n,
-                                        std::size_t strip) {
-  // Strip-mined widening: `strip` madd blocks (16 samples each) accumulate
-  // in int32 lanes before one int64 flush, amortizing the 5-op widening
-  // that fused_dot_i16 pays per madd. The caller certifies the strip bound
-  // (see the declaration comment); every sum is exact, so the result is
-  // bit-identical to fused_dot_i16_scalar.
-  if (strip < 2) return fused_dot_i16(kr, ki, xi, xq, n);
-  __m256i acc64r = _mm256_setzero_si256();
-  __m256i acc64i = _mm256_setzero_si256();
-  const std::size_t blocks = n / 16;
-  std::size_t t = 0;
-  for (std::size_t b = 0; b < blocks;) {
-    const std::size_t run = std::min(strip, blocks - b);
-    __m256i a32r = _mm256_setzero_si256();
-    __m256i a32i = _mm256_setzero_si256();
-    for (std::size_t k = 0; k < run; ++k, ++b, t += 16) {
-      a32r = _mm256_add_epi32(
-          a32r, _mm256_madd_epi16(
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kr + t)),
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(xi + t))));
-      a32i = _mm256_add_epi32(
-          a32i, _mm256_madd_epi16(
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ki + t)),
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(xq + t))));
-    }
-    acc64r = detail::add_madd_i64(acc64r, a32r);
-    acc64i = detail::add_madd_i64(acc64i, a32i);
-  }
-  std::int64_t sum = detail::hsum_i64(acc64r) - detail::hsum_i64(acc64i);
-  for (; t < n; ++t)
-    sum += static_cast<std::int64_t>(static_cast<std::int32_t>(kr[t]) * xi[t] -
-                                     static_cast<std::int32_t>(ki[t]) * xq[t]);
-  return sum;
-}
-
-inline void fused_dot_i16_strip_x4(const std::int16_t* kr,
-                                   const std::int16_t* ki,
-                                   const std::int16_t* const* xi,
-                                   const std::int16_t* const* xq,
-                                   std::size_t n, std::size_t strip,
-                                   std::int64_t* out) {
-  // Four shots per kernel-row pass: each 16-sample block loads kr/ki once
-  // and madds them against all four trace streams, cutting the load
-  // traffic per madd ~40% and streaming the kernel table once per four
-  // shots. Each lane accumulates pr - pi, so one block consumes TWO strip
-  // units — the caller's strip certifies `strip` single-madd additions,
-  // hence run <= strip / 2 blocks per int32 flush. Exact int64 sums
-  // throughout: bit-identical to four fused_dot_i16_scalar calls.
-  if (strip < 4) {
-    for (int s = 0; s < 4; ++s)
-      out[s] = fused_dot_i16_strip(kr, ki, xi[s], xq[s], n, strip);
-    return;
-  }
-  const std::size_t pair_strip = strip / 2;
-  __m256i acc64[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
-                      _mm256_setzero_si256(), _mm256_setzero_si256()};
-  const std::size_t blocks = n / 16;
-  std::size_t t = 0;
-  for (std::size_t b = 0; b < blocks;) {
-    const std::size_t run = std::min(pair_strip, blocks - b);
-    __m256i a32[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
-                      _mm256_setzero_si256(), _mm256_setzero_si256()};
-    for (std::size_t k = 0; k < run; ++k, ++b, t += 16) {
-      const __m256i vkr =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kr + t));
-      const __m256i vki =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ki + t));
-      for (int s = 0; s < 4; ++s) {
-        const __m256i pr = _mm256_madd_epi16(
-            vkr,
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xi[s] + t)));
-        const __m256i pi = _mm256_madd_epi16(
-            vki,
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xq[s] + t)));
-        a32[s] = _mm256_add_epi32(a32[s], _mm256_sub_epi32(pr, pi));
-      }
-    }
-    for (int s = 0; s < 4; ++s)
-      acc64[s] = detail::add_madd_i64(acc64[s], a32[s]);
-  }
-  for (int s = 0; s < 4; ++s) {
-    std::int64_t sum = detail::hsum_i64(acc64[s]);
-    for (std::size_t u = t; u < n; ++u)
-      sum += static_cast<std::int64_t>(
-          static_cast<std::int32_t>(kr[u]) * xi[s][u] -
-          static_cast<std::int32_t>(ki[u]) * xq[s][u]);
-    out[s] = sum;
-  }
-}
-
 inline std::int32_t dot_u8i8(const std::uint8_t* u, const std::int8_t* w,
                              std::size_t n) {
   std::size_t i = 0;
@@ -560,26 +469,27 @@ inline float hsum_f32(__m128 v) {
   return _mm_cvtss_f32(v);
 }
 
-inline std::int64_t hsum_i64(__m128i v) {
-  // Lane extraction via store: _mm_cvtsi128_si64 does not exist on 32-bit
-  // x86, and this tier admits 32-bit SSE2 builds (-m32 -msse2, _M_IX86_FP).
-  alignas(16) std::int64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), v);
-  return lanes[0] + lanes[1];
+// The shared x86 int16 MAC kernels' primitives; see the AVX2 twin.
+using VecI = __m128i;
+constexpr std::size_t kI16Lanes = 8;
+
+inline VecI zero_i32() { return _mm_setzero_si128(); }
+inline VecI set1_i32(std::int32_t x) { return _mm_set1_epi32(x); }
+inline VecI load_i16(const std::int16_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
+inline void store_i32(std::int32_t* p, VecI v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+inline VecI madd_i16(VecI a, VecI b) { return _mm_madd_epi16(a, b); }
+inline VecI add_i32(VecI a, VecI b) { return _mm_add_epi32(a, b); }
+inline VecI sub_i32(VecI a, VecI b) { return _mm_sub_epi32(a, b); }
+inline VecI hi16_i32(VecI p) { return _mm_srai_epi32(p, 16); }
 
 inline std::int32_t hsum_i32(__m128i v) {
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0x4e));
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0xb1));
   return _mm_cvtsi128_si32(v);
-}
-
-/// acc (2 x int64) += sign-extended lanes of p (4 x int32), SSE2-only
-/// (no cvtepi32_epi64 before SSE4.1: unpack against the sign mask).
-inline __m128i add_madd_i64(__m128i acc, __m128i p) {
-  const __m128i sign = _mm_srai_epi32(p, 31);
-  acc = _mm_add_epi64(acc, _mm_unpacklo_epi32(p, sign));
-  return _mm_add_epi64(acc, _mm_unpackhi_epi32(p, sign));
 }
 
 }  // namespace detail
@@ -685,131 +595,6 @@ inline void dot4_f32(const float* shared, const float* b0, const float* b1,
     out[1] += s * b1[i];
     out[2] += s * b2[i];
     out[3] += s * b3[i];
-  }
-}
-
-inline std::int64_t dot_i16(const std::int16_t* a, const std::int16_t* b,
-                            std::size_t n) {
-  __m128i acc = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i p = _mm_madd_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = detail::add_madd_i64(acc, p);
-  }
-  std::int64_t sum = detail::hsum_i64(acc);
-  for (; i < n; ++i)
-    sum += static_cast<std::int64_t>(static_cast<std::int32_t>(a[i]) * b[i]);
-  return sum;
-}
-
-inline std::int64_t fused_dot_i16(const std::int16_t* kr,
-                                  const std::int16_t* ki,
-                                  const std::int16_t* xi,
-                                  const std::int16_t* xq, std::size_t n) {
-  __m128i accr = _mm_setzero_si128();
-  __m128i acci = _mm_setzero_si128();
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8) {
-    const __m128i pr = _mm_madd_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(kr + t)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(xi + t)));
-    const __m128i pi = _mm_madd_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ki + t)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(xq + t)));
-    accr = detail::add_madd_i64(accr, pr);
-    acci = detail::add_madd_i64(acci, pi);
-  }
-  std::int64_t sum = detail::hsum_i64(accr) - detail::hsum_i64(acci);
-  for (; t < n; ++t)
-    sum += static_cast<std::int64_t>(static_cast<std::int32_t>(kr[t]) * xi[t] -
-                                     static_cast<std::int32_t>(ki[t]) * xq[t]);
-  return sum;
-}
-
-inline std::int64_t fused_dot_i16_strip(const std::int16_t* kr,
-                                        const std::int16_t* ki,
-                                        const std::int16_t* xi,
-                                        const std::int16_t* xq, std::size_t n,
-                                        std::size_t strip) {
-  // Strip-mined widening (8-sample madd blocks here); see the AVX2 twin.
-  if (strip < 2) return fused_dot_i16(kr, ki, xi, xq, n);
-  __m128i acc64r = _mm_setzero_si128();
-  __m128i acc64i = _mm_setzero_si128();
-  const std::size_t blocks = n / 8;
-  std::size_t t = 0;
-  for (std::size_t b = 0; b < blocks;) {
-    const std::size_t run = std::min(strip, blocks - b);
-    __m128i a32r = _mm_setzero_si128();
-    __m128i a32i = _mm_setzero_si128();
-    for (std::size_t k = 0; k < run; ++k, ++b, t += 8) {
-      a32r = _mm_add_epi32(
-          a32r,
-          _mm_madd_epi16(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(kr + t)),
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(xi + t))));
-      a32i = _mm_add_epi32(
-          a32i,
-          _mm_madd_epi16(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(ki + t)),
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(xq + t))));
-    }
-    acc64r = detail::add_madd_i64(acc64r, a32r);
-    acc64i = detail::add_madd_i64(acc64i, a32i);
-  }
-  std::int64_t sum = detail::hsum_i64(acc64r) - detail::hsum_i64(acc64i);
-  for (; t < n; ++t)
-    sum += static_cast<std::int64_t>(static_cast<std::int32_t>(kr[t]) * xi[t] -
-                                     static_cast<std::int32_t>(ki[t]) * xq[t]);
-  return sum;
-}
-
-inline void fused_dot_i16_strip_x4(const std::int16_t* kr,
-                                   const std::int16_t* ki,
-                                   const std::int16_t* const* xi,
-                                   const std::int16_t* const* xq,
-                                   std::size_t n, std::size_t strip,
-                                   std::int64_t* out) {
-  // Four trace streams per kernel pass (8-sample blocks); see the AVX2
-  // twin for the rationale and the strip/2 accounting.
-  if (strip < 4) {
-    for (int s = 0; s < 4; ++s)
-      out[s] = fused_dot_i16_strip(kr, ki, xi[s], xq[s], n, strip);
-    return;
-  }
-  const std::size_t pair_strip = strip / 2;
-  __m128i acc64[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                      _mm_setzero_si128(), _mm_setzero_si128()};
-  const std::size_t blocks = n / 8;
-  std::size_t t = 0;
-  for (std::size_t b = 0; b < blocks;) {
-    const std::size_t run = std::min(pair_strip, blocks - b);
-    __m128i a32[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
-                      _mm_setzero_si128(), _mm_setzero_si128()};
-    for (std::size_t k = 0; k < run; ++k, ++b, t += 8) {
-      const __m128i vkr =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kr + t));
-      const __m128i vki =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ki + t));
-      for (int s = 0; s < 4; ++s) {
-        const __m128i pr = _mm_madd_epi16(
-            vkr, _mm_loadu_si128(reinterpret_cast<const __m128i*>(xi[s] + t)));
-        const __m128i pi = _mm_madd_epi16(
-            vki, _mm_loadu_si128(reinterpret_cast<const __m128i*>(xq[s] + t)));
-        a32[s] = _mm_add_epi32(a32[s], _mm_sub_epi32(pr, pi));
-      }
-    }
-    for (int s = 0; s < 4; ++s)
-      acc64[s] = detail::add_madd_i64(acc64[s], a32[s]);
-  }
-  for (int s = 0; s < 4; ++s) {
-    std::int64_t sum = detail::hsum_i64(acc64[s]);
-    for (std::size_t u = t; u < n; ++u)
-      sum += static_cast<std::int64_t>(
-          static_cast<std::int32_t>(kr[u]) * xi[s][u] -
-          static_cast<std::int32_t>(ki[u]) * xq[s][u]);
-    out[s] = sum;
   }
 }
 
@@ -1104,6 +889,262 @@ inline void add_bias_f32(float* z, const float* b, std::size_t n) {
 }
 inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
   add_bias_relu_f32_scalar(z, b, n);
+}
+
+#endif
+
+// ------------------------------------------------ x86 int16 MAC kernels --
+//
+// One body for the AVX2 and SSE2 tiers, written against the per-tier
+// primitives in detail:: (a VecI holds kI16Lanes int16 codes, or half as
+// many int32 lanes).
+//
+// Split accumulation. pmaddwd sums adjacent product pairs into int32
+// lanes; with no -2^15 in the `a` operand each such p has
+// |p| <= 2^31 - 2^16, but the sum of two may not fit. Rather than
+// sign-extend every p to int64 (two unpack shuffles per vector), a lane
+// accumulates the two halves of
+//     p = 65536 * (p >> 16) + (p & 0xFFFF)
+// in int32. The high halves (psrad) lie in [-2^15, 2^15) and sum exactly
+// into `hi`. The low halves need no pand of their own: `wrap` sums p
+// itself modulo 2^32, and sum(p & 0xFFFF) = wrap - 65536 * hi (mod 2^32).
+// That sum lies in [0, K * 65535] after K flushes, or in
+// (-K * 65536, K * 65536) for a fused pr - pi (whose int32 difference
+// may itself overflow — the wrap does not care), so it is exact as int32
+// while below 2^31 in magnitude. kSplitFlushes = 2^12 flushes per lane
+// keep that true even summed across a vector's 8 lanes, so a lane-wise
+// int32 reduction recombines both halves exactly, once per call:
+// 65536 * sum(hi) + sum(lo) in int64.
+
+#if defined(MLQR_SIMD_AVX2) || defined(MLQR_SIMD_SSE2)
+
+namespace detail {
+
+constexpr std::size_t kSplitFlushes = std::size_t{1} << 12;
+
+inline VecI madd_at(const std::int16_t* a, const std::int16_t* b,
+                    std::size_t i) {
+  return madd_i16(load_i16(a + i), load_i16(b + i));
+}
+
+/// The split accumulator described above; each add is one flush, at most
+/// kSplitFlushes per accumulator.
+struct SplitAcc {
+  VecI hi = zero_i32();
+  VecI wrap = zero_i32();
+
+  void add(VecI p) {
+    hi = add_i32(hi, hi16_i32(p));
+    wrap = add_i32(wrap, p);
+  }
+  /// Flushes pr - pi.
+  void add_diff(VecI pr, VecI pi) {
+    hi = add_i32(hi, sub_i32(hi16_i32(pr), hi16_i32(pi)));
+    wrap = add_i32(wrap, sub_i32(pr, pi));
+  }
+  std::int64_t sum() const {
+    const std::int32_t h = hsum_i32(hi);
+    const auto lo = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(hsum_i32(wrap)) -
+        (static_cast<std::uint32_t>(h) << 16));
+    return 65536 * std::int64_t{h} + lo;
+  }
+};
+
+/// fused_dot_i16_strip_x4 over `blocks` blocks from sample t (at most
+/// kSplitFlushes), one split flush of pr and pi per block; adds the four
+/// exact sums into sum[].
+inline void x4_flush_run(const std::int16_t* kr, const std::int16_t* ki,
+                         const std::int16_t* const* xi,
+                         const std::int16_t* const* xq, std::size_t t,
+                         std::size_t blocks, std::int64_t* sum) {
+  SplitAcc acc[4];
+  for (const std::size_t end = t + blocks * kI16Lanes; t < end;
+       t += kI16Lanes) {
+    const VecI vkr = load_i16(kr + t);
+    const VecI vki = load_i16(ki + t);
+    for (int s = 0; s < 4; ++s)
+      acc[s].add_diff(madd_i16(vkr, load_i16(xi[s] + t)),
+                      madd_i16(vki, load_i16(xq[s] + t)));
+  }
+  for (int s = 0; s < 4; ++s) sum[s] += acc[s].sum();
+}
+
+/// As x4_flush_run, with `per_flush` blocks of pr - pi summed in plain
+/// int32 lanes before each split flush (at most kSplitFlushes flushes).
+inline void x4_strip_run(const std::int16_t* kr, const std::int16_t* ki,
+                         const std::int16_t* const* xi,
+                         const std::int16_t* const* xq, std::size_t t,
+                         std::size_t blocks, std::size_t per_flush,
+                         std::int64_t* sum) {
+  SplitAcc acc[4];
+  while (blocks > 0) {
+    const std::size_t run = std::min(per_flush, blocks);
+    blocks -= run;
+    VecI a32[4];
+    for (int s = 0; s < 4; ++s) a32[s] = zero_i32();
+    for (const std::size_t end = t + run * kI16Lanes; t < end;
+         t += kI16Lanes) {
+      const VecI vkr = load_i16(kr + t);
+      const VecI vki = load_i16(ki + t);
+      for (int s = 0; s < 4; ++s)
+        a32[s] = add_i32(a32[s], sub_i32(madd_i16(vkr, load_i16(xi[s] + t)),
+                                         madd_i16(vki, load_i16(xq[s] + t))));
+    }
+    for (int s = 0; s < 4; ++s) acc[s].add(a32[s]);
+  }
+  for (int s = 0; s < 4; ++s) sum[s] += acc[s].sum();
+}
+
+/// madd_split_pairs_i16 over V vectors of shots (kI16Lanes / 2 shots
+/// each, one input pair per shot), sharing every broadcast weight pair.
+template <int V>
+inline void split_pairs_block(const std::int16_t* wh, const std::int16_t* wl,
+                              std::size_t n_pairs, const std::int16_t* act,
+                              std::size_t act_stride, std::int32_t* hi,
+                              std::int32_t* lo) {
+  VecI h[V], l[V];
+  for (int v = 0; v < V; ++v) h[v] = l[v] = zero_i32();
+  for (std::size_t p = 0; p < n_pairs; ++p) {
+    std::int32_t word_h, word_l;
+    std::memcpy(&word_h, wh + 2 * p, sizeof word_h);
+    std::memcpy(&word_l, wl + 2 * p, sizeof word_l);
+    const VecI vh = set1_i32(word_h), vl = set1_i32(word_l);
+    const std::int16_t* x = act + p * act_stride;
+    for (int v = 0; v < V; ++v) {
+      const VecI a = load_i16(x + v * kI16Lanes);
+      h[v] = add_i32(h[v], madd_i16(a, vh));
+      l[v] = add_i32(l[v], madd_i16(a, vl));
+    }
+  }
+  for (int v = 0; v < V; ++v) {
+    store_i32(hi + v * (kI16Lanes / 2), h[v]);
+    store_i32(lo + v * (kI16Lanes / 2), l[v]);
+  }
+}
+
+}  // namespace detail
+
+inline std::int64_t dot_i16(const std::int16_t* a, const std::int16_t* b,
+                            std::size_t n) {
+  constexpr std::size_t L = detail::kI16Lanes;
+  std::int64_t sum = 0;
+  std::size_t i = 0;
+  for (std::size_t blocks = n / L; blocks > 0;) {
+    const std::size_t run = std::min(blocks, detail::kSplitFlushes);
+    blocks -= run;
+    detail::SplitAcc acc;
+    for (const std::size_t end = i + run * L; i < end; i += L)
+      acc.add(detail::madd_at(a, b, i));
+    sum += acc.sum();
+  }
+  return sum + dot_i16_scalar(a + i, b + i, n - i);
+}
+
+inline std::int64_t fused_dot_i16(const std::int16_t* kr,
+                                  const std::int16_t* ki,
+                                  const std::int16_t* xi,
+                                  const std::int16_t* xq, std::size_t n) {
+  constexpr std::size_t L = detail::kI16Lanes;
+  std::int64_t sum = 0;
+  std::size_t t = 0;
+  for (std::size_t blocks = n / L; blocks > 0;) {
+    const std::size_t run = std::min(blocks, detail::kSplitFlushes);
+    blocks -= run;
+    detail::SplitAcc acc;
+    for (const std::size_t end = t + run * L; t < end; t += L)
+      acc.add_diff(detail::madd_at(kr, xi, t), detail::madd_at(ki, xq, t));
+    sum += acc.sum();
+  }
+  return sum + fused_dot_i16_scalar(kr + t, ki + t, xi + t, xq + t, n - t);
+}
+
+inline std::int64_t fused_dot_i16_strip(const std::int16_t* kr,
+                                        const std::int16_t* ki,
+                                        const std::int16_t* xi,
+                                        const std::int16_t* xq, std::size_t n,
+                                        std::size_t strip) {
+  // `strip` madd blocks accumulate in plain int32 lanes (the caller's
+  // certificate) before one split flush.
+  if (strip < 2) return fused_dot_i16(kr, ki, xi, xq, n);
+  constexpr std::size_t L = detail::kI16Lanes;
+  std::int64_t sum = 0;
+  std::size_t t = 0;
+  for (std::size_t blocks = n / L; blocks > 0;) {
+    detail::SplitAcc acc;
+    for (std::size_t f = 0; f < detail::kSplitFlushes && blocks > 0; ++f) {
+      const std::size_t run = std::min(strip, blocks);
+      blocks -= run;
+      detail::VecI a32r = detail::zero_i32(), a32i = detail::zero_i32();
+      for (const std::size_t end = t + run * L; t < end; t += L) {
+        a32r = detail::add_i32(a32r, detail::madd_at(kr, xi, t));
+        a32i = detail::add_i32(a32i, detail::madd_at(ki, xq, t));
+      }
+      acc.add_diff(a32r, a32i);
+    }
+    sum += acc.sum();
+  }
+  return sum + fused_dot_i16_scalar(kr + t, ki + t, xi + t, xq + t, n - t);
+}
+
+inline void fused_dot_i16_strip_x4(const std::int16_t* kr,
+                                   const std::int16_t* ki,
+                                   const std::int16_t* const* xi,
+                                   const std::int16_t* const* xq,
+                                   std::size_t n, std::size_t strip,
+                                   std::int64_t* out) {
+  // Four trace streams per kernel-row pass: each block loads kr/ki once
+  // and madds them against all four streams. Below strip 4 (full-range
+  // kernel codes) every block flushes pr and pi straight into the split
+  // accumulators. Deeper strips first accumulate pr - pi in int32 for
+  // strip / 2 blocks: each block spends two of the strip's single-madd
+  // additions. Each chunk of at most kSplitFlushes flushes runs in its own
+  // helper, so the accumulators stay in registers.
+  constexpr std::size_t L = detail::kI16Lanes;
+  std::int64_t sum[4] = {0, 0, 0, 0};
+  std::size_t t = 0;
+  for (std::size_t blocks = n / L; blocks > 0;) {
+    const std::size_t per_flush = strip < 4 ? 1 : strip / 2;
+    const std::size_t run =
+        std::min(blocks, detail::kSplitFlushes * per_flush);
+    if (per_flush == 1)
+      detail::x4_flush_run(kr, ki, xi, xq, t, run, sum);
+    else
+      detail::x4_strip_run(kr, ki, xi, xq, t, run, per_flush, sum);
+    blocks -= run;
+    t += run * L;
+  }
+  for (int s = 0; s < 4; ++s)
+    out[s] = sum[s] + fused_dot_i16_scalar(kr + t, ki + t, xi[s] + t,
+                                           xq[s] + t, n - t);
+}
+
+inline void madd_split_pairs_i16(const std::int16_t* wh, const std::int16_t* wl,
+                                 std::size_t n_pairs, const std::int16_t* act,
+                                 std::size_t act_stride, std::size_t shots,
+                                 std::int32_t* hi, std::int32_t* lo) {
+  // Shot lanes: a vector holds kI16Lanes / 2 shots' input pairs, and one
+  // pmaddwd against the broadcast weight pair gives each shot its pair sum.
+  constexpr std::size_t kVecShots = detail::kI16Lanes / 2;
+  std::size_t s = 0;
+  for (; s + 4 * kVecShots <= shots; s += 4 * kVecShots)
+    detail::split_pairs_block<4>(wh, wl, n_pairs, act + 2 * s, act_stride,
+                                 hi + s, lo + s);
+  for (; s + kVecShots <= shots; s += kVecShots)
+    detail::split_pairs_block<1>(wh, wl, n_pairs, act + 2 * s, act_stride,
+                                 hi + s, lo + s);
+  madd_split_pairs_i16_scalar(wh, wl, n_pairs, act + 2 * s, act_stride,
+                              shots - s, hi + s, lo + s);
+}
+
+#else
+
+inline void madd_split_pairs_i16(const std::int16_t* wh, const std::int16_t* wl,
+                                 std::size_t n_pairs, const std::int16_t* act,
+                                 std::size_t act_stride, std::size_t shots,
+                                 std::int32_t* hi, std::int32_t* lo) {
+  madd_split_pairs_i16_scalar(wh, wl, n_pairs, act, act_stride, shots, hi,
+                              lo);
 }
 
 #endif

@@ -44,7 +44,8 @@ struct FnnConfig {
   /// trains on 1.6M traces where leakage-bearing joint classes have
   /// thousands of examples; at this repo's ~100x smaller dataset the same
   /// classes have a handful, so weighting compensates for scale (applied
-  /// identically to HERQULES; see EXPERIMENTS.md).
+  /// identically to HERQULES). The paper trains unweighted; this deviation
+  /// is tracked by the paper-claim ledger item in ROADMAP.md.
   bool balance_classes = true;
   float class_weight_cap = 64.0f;
 };

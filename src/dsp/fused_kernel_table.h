@@ -70,11 +70,13 @@ struct FusedSampleTraits<std::int16_t> {
                            std::size_t strip, Accum* out) {
     simd::fused_dot_i16_strip_x4(kr, ki, xi, xq, n, strip, out);
   }
-  /// Largest strip (madd blocks accumulated per int32 lane before the
-  /// int64 flush) the kernel-code magnitudes provably cannot overflow:
-  /// strip * 2 * max|code| * 2^15 <= 2^31 - 1, trace codes assumed
-  /// full-range. Narrow kernel grids (12-bit codes -> strip 16) amortize
-  /// the widening; worst-case codes collapse to 1 (plain fused_dot_i16).
+  /// Largest strip (madd blocks accumulated in a plain int32 lane before
+  /// one split flush, see common/simd.h) the kernel-code magnitudes
+  /// provably cannot overflow: strip * 2 * max|code| * 2^15 <= 2^31 - 1,
+  /// trace codes assumed full-range. Narrow kernel grids (12-bit codes ->
+  /// strip 16) flush once per many blocks; the default 16-bit grid
+  /// collapses to 1, where every block flushes into the split halves —
+  /// still int32 lanes, no int64 widening in the loop.
   static std::size_t compute_strip(const std::vector<std::int16_t>& kr,
                                    const std::vector<std::int16_t>& ki) {
     std::int64_t max_abs = 1;
@@ -143,15 +145,16 @@ class FusedKernelTable {
   }
 
   /// Four-stream accumulate for the blocked front-end: filter f's fused
-  /// score for four sample streams sharing one kernel-row pass. Integer
-  /// exactness makes it bit-identical to four accumulate() calls; only
-  /// instantiated for sample types whose traits provide fused_dot_x4.
+  /// score for four sample streams sharing every kernel-row load, at any
+  /// strip. Integer exactness makes it bit-identical to four accumulate()
+  /// calls; only instantiated for sample types whose traits provide
+  /// fused_dot_x4.
   void accumulate4(std::size_t f, const Sample* const* xi,
                    const Sample* const* xq, Accum* out) const {
     Traits::fused_dot_x4(row_r(f), row_i(f), xi, xq, n_samples_, strip_, out);
   }
 
-  /// Recomputes the overflow-safe widening strip from the current codes.
+  /// Recomputes the overflow-safe int32 strip from the current codes.
   /// Builders call this once after minting rows through row_r()/row_i();
   /// load_rows() re-derives it itself. Until called, strip_ = 1 (always
   /// safe, just slower).
@@ -186,7 +189,7 @@ class FusedKernelTable {
 
  private:
   std::size_t n_samples_ = 0;
-  std::size_t strip_ = 1;   ///< Widening strip; see finalize_strip().
+  std::size_t strip_ = 1;   ///< int32 strip; see finalize_strip().
   std::vector<Sample> kr_;  ///< Re R, n_filters x n_samples, filter-major.
   std::vector<Sample> ki_;  ///< Im R, same layout.
 };

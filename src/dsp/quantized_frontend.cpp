@@ -172,10 +172,11 @@ void QuantizedFrontend::features_into(const IqTrace& trace,
                  scratch.int_trace_q.data());
 
   // Pass 1: every filter is two int16 dot products against the raw codes
-  // (simd::fused_dot_i16 — widening multiply-add into int64 lanes); the
-  // int64 accumulator is exact, so the vector reassociation is
-  // bit-identical to the scalar loop and the trailing affine requant
-  // (double on an exactly-representable integer) is bit-deterministic.
+  // (simd::fused_dot_i16_strip — pmaddwd into split int32 lanes, summed
+  // exactly into one int64 per filter); the sum is exact, so the vector
+  // reassociation is bit-identical to the scalar loop and the trailing
+  // affine requant (double on an exactly-representable integer) is
+  // bit-deterministic.
   const std::int16_t* xi = scratch.int_trace_i.data();
   const std::int16_t* xq = scratch.int_trace_q.data();
   scratch.int_features.resize(n_filters());
@@ -228,9 +229,10 @@ void QuantizedFrontend::features_block_into(std::size_t block,
       xq_ptr[s] = scratch.block_trace_q.data() + s * n;
     }
     for (std::size_t f = 0; f < n_filters(); ++f) {
-      // One kernel-row pass scores four shots at a time (accumulate4);
-      // the int64 sums are exact, so every score — and the double requant
-      // below — is identical to the per-shot features_into chain.
+      // One kernel-row pass scores four shots at a time (accumulate4,
+      // sharing every kernel-row load at any strip); the sums are exact,
+      // so every score — and the double requant below — is identical to
+      // the per-shot features_into chain.
       std::int64_t accs[kShotBlock];
       std::size_t s = 0;
       for (; s + 4 <= nb; s += 4)

@@ -6,7 +6,8 @@
 // (The paper's Eq. writes a variance *difference* in the denominator; with
 // state-independent amplifier noise that difference is ~0 and the kernel
 // diverges, so we use the standard SNR-optimal variance-sum form — the
-// ISCA'23 HERQULES construction — and note the deviation in EXPERIMENTS.md.)
+// ISCA'23 HERQULES construction. This deliberately deviates from the
+// paper's formula; the paper-claim ledger item in ROADMAP.md tracks it.)
 //
 // Applying a filter is a single complex dot product against the baseband
 // trace; the real part is the decision score. Kernels are affinely

@@ -208,8 +208,8 @@ void Quantized8Mlp::classify_batch_into(std::size_t batch,
   const std::size_t in_dim = input_size();
   const std::size_t out_dim = output_size();
 
-  // Shot-lane schedule, mirroring QuantizedMlp::classify_batch_into:
-  // activations transposed to [dim][shot] within a block so the inner
+  // Shot-lane schedule: activations transposed to [dim][shot] within a
+  // block (QuantizedMlp pairs its inputs instead) so the inner
   // loop is contiguous across shots with the weight broadcast. Every
   // |product| <= 255 * 128 < 2^15 and kMaxLayerWidth <= 2^15 bound the
   // int32 lane accumulator by 2^30, so a single int32 accumulation pass

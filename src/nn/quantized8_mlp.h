@@ -92,9 +92,9 @@ class Quantized8Mlp {
               std::vector<std::uint8_t>& act_b) const;
 
   /// Batched argmax classify over `batch` feature rows (row-major int32
-  /// codes, batch x input_size()), shot-lane transposed like
-  /// QuantizedMlp::classify_batch_into; labels (bit-identical to predict)
-  /// land in labels[s * label_stride].
+  /// codes, batch x input_size()), activations shot-lane transposed to
+  /// [dim][shot]; labels (bit-identical to predict) land in
+  /// labels[s * label_stride].
   void classify_batch_into(std::size_t batch, const std::int32_t* features,
                            std::vector<std::uint8_t>& act_a,
                            std::vector<std::uint8_t>& act_b,

@@ -120,7 +120,25 @@ QuantizedMlp QuantizedMlp::quantize(const Mlp& mlp,
 
     q.layers_.push_back(std::move(ql));
   }
+  q.derive_split_weights();
   return q;
+}
+
+void QuantizedMlp::derive_split_weights() {
+  split_.assign(layers_.size(), {});
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const QuantizedDenseLayer& layer = layers_[l];
+    const std::size_t row = 2 * ((layer.in + 1) / 2);
+    SplitWeights& sw = split_[l];
+    sw.hi.assign(layer.out * row, 0);
+    sw.lo.assign(layer.out * row, 0);
+    for (std::size_t j = 0; j < layer.out; ++j)
+      for (std::size_t i = 0; i < layer.in; ++i) {
+        const std::int16_t w = layer.w[j * layer.in + i];
+        sw.hi[j * row + i] = static_cast<std::int16_t>(w >> 8);
+        sw.lo[j * row + i] = static_cast<std::int16_t>(w & 0xFF);
+      }
+  }
 }
 
 void QuantizedMlp::save(std::ostream& os) const {
@@ -159,6 +177,7 @@ QuantizedMlp QuantizedMlp::load(std::istream& is) {
       MLQR_CHECK_MSG(w > INT16_MIN,
                      "quantized MLP weight code -32768 is not representable");
   }
+  q.derive_split_weights();
   return q;
 }
 
@@ -243,75 +262,72 @@ void QuantizedMlp::classify_batch_into(std::size_t batch,
   const std::size_t out_dim = output_size();
 
   // Shot-lane schedule: within a block of up to kShotBlock shots,
-  // activations live transposed ([dim][shot]) so the innermost loop runs
-  // contiguously across shots with the weight broadcast. The readout
-  // heads are narrow (tens of inputs), so per-shot dot products spend
-  // most of their time in vector tails and horizontal reductions; across
-  // shots every lane is full regardless of layer width. Integer
-  // arithmetic is exact, so the reordering is bit-identical to
-  // logits_into by construction.
+  // activations live as input pairs per shot ([i/2][shot][2], one pair row
+  // of kPairStride codes) so one pmaddwd against a broadcast weight pair
+  // advances a whole vector of shots by two inputs. The readout heads are
+  // narrow (tens of inputs), so per-shot dot products spend most of their
+  // time in vector tails and horizontal reductions; across shots every
+  // lane is full regardless of layer width. With the split weights a
+  // layer of up to simd::kMaxSplitPairs pairs accumulates exactly in int32
+  // and recombines once in int64. Integer arithmetic is exact, so the
+  // reordering is bit-identical to logits_into by construction.
   constexpr std::size_t kShotBlock = 128;
+  constexpr std::size_t kPairStride = 2 * kShotBlock;
 
   std::size_t max_dim = in_dim;
   for (const QuantizedDenseLayer& layer : layers_)
     max_dim = std::max(max_dim, layer.out);
-  act_a.resize(max_dim * kShotBlock);
-  act_b.resize(max_dim * kShotBlock);
+  act_a.resize((max_dim + 1) / 2 * kPairStride);
+  act_b.resize((max_dim + 1) / 2 * kPairStride);
   logits.resize(out_dim * kShotBlock);
+  // Code i of shot s in the paired layout. An odd width leaves the last
+  // pair's second slot stale: its split weights are zero.
+  const auto slot = [](std::size_t i, std::size_t s) {
+    return i / 2 * kPairStride + 2 * s + i % 2;
+  };
 
   for (std::size_t s0 = 0; s0 < batch; s0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, batch - s0);
-    // Stage the block transposed, with the same value-preserving
+    // Stage the block paired, with the same value-preserving
     // int32 -> int16 narrowing as logits_into.
-    for (std::size_t i = 0; i < in_dim; ++i)
-      for (std::size_t s = 0; s < nb; ++s)
-        act_a[i * kShotBlock + s] =
+    for (std::size_t s = 0; s < nb; ++s)
+      for (std::size_t i = 0; i < in_dim; ++i)
+        act_a[slot(i, s)] =
             static_cast<std::int16_t>(features[(s0 + s) * in_dim + i]);
     std::vector<std::int16_t>* cur = &act_a;
     std::vector<std::int16_t>* next = &act_b;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
       const QuantizedDenseLayer& layer = layers_[l];
+      const SplitWeights& sw = split_[l];
       const bool last = l + 1 == layers_.size();
       const int shift =
           last ? 0
                : layer.in_fmt.frac_bits + layer.weight_fmt.frac_bits -
                      layers_[l + 1].in_fmt.frac_bits;
-      // int32 lane accumulators stay exact for `strip` consecutive
-      // inputs: |w| <= 2^(Tw-1) and |act| <= 2^(Ta-1) bound every
-      // product, and the strip flushes into the int64 accumulator
-      // before the partial sum can reach 2^31.
-      const std::int64_t max_prod =
-          (std::int64_t{1} << (layer.weight_fmt.total_bits - 1)) *
-          (std::int64_t{1} << (layer.in_fmt.total_bits - 1));
-      const std::size_t strip = static_cast<std::size_t>(
-          std::max<std::int64_t>(1, (std::int64_t{1} << 31) / max_prod - 1));
+      const std::size_t pairs = (layer.in + 1) / 2;
       for (std::size_t j = 0; j < layer.out; ++j) {
-        const std::int16_t* wrow = layer.w.data() + j * layer.in;
         std::int64_t acc64[kShotBlock];
-        std::int32_t acc32[kShotBlock];
-        std::fill(acc64, acc64 + nb, std::int64_t{0});
-        for (std::size_t i0 = 0; i0 < layer.in; i0 += strip) {
-          const std::size_t ie = std::min(layer.in, i0 + strip);
-          std::fill(acc32, acc32 + nb, 0);
-          for (std::size_t i = i0; i < ie; ++i) {
-            const std::int32_t w = wrow[i];
-            const std::int16_t* in_row = cur->data() + i * kShotBlock;
-            for (std::size_t s = 0; s < nb; ++s)
-              acc32[s] += w * in_row[s];
-          }
-          for (std::size_t s = 0; s < nb; ++s) acc64[s] += acc32[s];
+        std::fill(acc64, acc64 + nb, layer.b[j]);
+        for (std::size_t p0 = 0; p0 < pairs; p0 += simd::kMaxSplitPairs) {
+          const std::size_t np = std::min(simd::kMaxSplitPairs, pairs - p0);
+          const std::size_t w0 = (j * pairs + p0) * 2;
+          std::int32_t hi[kShotBlock], lo[kShotBlock];
+          simd::madd_split_pairs_i16(sw.hi.data() + w0, sw.lo.data() + w0, np,
+                                     cur->data() + p0 * kPairStride,
+                                     kPairStride, nb, hi, lo);
+          for (std::size_t s = 0; s < nb; ++s)
+            acc64[s] += 256 * std::int64_t{hi[s]} + lo[s];
         }
         // Epilogue: the exact per-(shot, output) chain of logits_into.
         for (std::size_t s = 0; s < nb; ++s) {
-          std::int64_t acc = layer.b[j] + acc64[s];
-          acc = saturate_to_bits(acc, cfg_.accum_bits);
+          std::int64_t acc = saturate_to_bits(acc64[s], cfg_.accum_bits);
           if (last) {
             logits[j * kShotBlock + s] = acc;
           } else {
             if (acc < 0) acc = 0;  // ReLU in the integer domain.
             const std::int64_t code = saturate_to_bits(
                 shift_round_half_even(acc, shift), cfg_.activation_bits);
-            (*next)[j * kShotBlock + s] = static_cast<std::int16_t>(code);
+            (*next)[slot(j, s)] = static_cast<std::int16_t>(code);
           }
         }
       }

@@ -80,13 +80,15 @@ class QuantizedMlp {
 
   /// Batched argmax classify over `batch` feature rows (row-major int32
   /// codes, batch x input_size()): shots are processed in shot-lane
-  /// blocks — activations transposed to [dim][shot] so the inner loop
-  /// runs contiguously across shots with a broadcast weight, giving full
-  /// SIMD lanes even on the narrow hidden layers where per-shot dots are
-  /// all tail. Integer arithmetic is exact, so reordering is free: labels
-  /// (written to labels[s * label_stride]) are bit-identical to predict
-  /// on every row. act_a/act_b/logits are scratch matrices reusing
-  /// capacity call-to-call.
+  /// blocks — activations staged as input pairs per shot ([i/2][shot][2])
+  /// so one pmaddwd against a broadcast weight pair serves a whole vector
+  /// of shots, giving full SIMD lanes even on the narrow hidden layers
+  /// where per-shot dots are all tail. Weights run split
+  /// (simd::madd_split_pairs_i16), so a layer accumulates exactly in int32.
+  /// Integer arithmetic is exact, so reordering is free: labels (written
+  /// to labels[s * label_stride]) are bit-identical to predict on every
+  /// row. act_a/act_b/logits are scratch matrices reusing capacity
+  /// call-to-call.
   void classify_batch_into(std::size_t batch, const std::int32_t* features,
                            std::vector<std::int16_t>& act_a,
                            std::vector<std::int16_t>& act_b,
@@ -107,8 +109,18 @@ class QuantizedMlp {
   static QuantizedMlp load(std::istream& is);
 
  private:
+  /// One layer's weights as the batched heads consume them: w = 256 * hi +
+  /// lo with hi in [-128, 127] and lo in [0, 255], out rows of
+  /// 2 * ceil(in / 2) codes (an odd width pads a zero weight). Derived
+  /// from the codes at quantize/load time, never serialized.
+  struct SplitWeights {
+    std::vector<std::int16_t> hi, lo;
+  };
+  void derive_split_weights();
+
   QuantizationConfig cfg_;
   std::vector<QuantizedDenseLayer> layers_;
+  std::vector<SplitWeights> split_;  ///< Per layer.
 };
 
 }  // namespace mlqr

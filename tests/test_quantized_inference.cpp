@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "common/serialize.h"
+#include "common/simd.h"
 #include "nn/trainer.h"
 #include "pipeline/readout_engine.h"
 #include "readout/dataset.h"
@@ -221,6 +226,172 @@ TEST(QuantizedInference, MlpForwardBitExactVsNaiveReference) {
     ASSERT_EQ(logits.size(), cur.size());
     for (std::size_t j = 0; j < cur.size(); ++j)
       EXPECT_EQ(logits[j], cur[j]) << "shot " << s << " logit " << j;
+  }
+}
+
+/// An int16 code in [lo, hi] that lands on either bound a quarter of the
+/// time each — the adversarial mix for the batched kernels.
+std::int16_t extreme_code(Rng& rng, int lo, int hi) {
+  const double u = rng.uniform();
+  if (u < 0.25) return static_cast<std::int16_t>(lo);
+  if (u < 0.5) return static_cast<std::int16_t>(hi);
+  return static_cast<std::int16_t>(
+      std::min(hi, lo + static_cast<int>(rng.uniform() * (hi - lo + 1))));
+}
+
+/// A QuantizedMlp over `dims` with adversarial weight codes (a quarter
+/// each at +-32767), minted through load() — the only way to choose codes
+/// freely. Formats: inputs <16,8>, weights <16,12>, so a hidden layer
+/// requantizes by a 12-bit shift.
+QuantizedMlp adversarial_mlp(const std::vector<std::size_t>& dims,
+                             int accum_bits, Rng& rng) {
+  std::stringstream ss;
+  QuantizationConfig cfg;
+  cfg.accum_bits = accum_bits;
+  save_quantization_config(ss, cfg);
+  io::write_u64(ss, dims.size() - 1);
+  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+    io::write_u64(ss, dims[l]);
+    io::write_u64(ss, dims[l + 1]);
+    save_format(ss, FixedPointFormat{16, 12});
+    save_format(ss, FixedPointFormat{16, 8});
+    std::vector<std::int16_t> w(dims[l] * dims[l + 1]);
+    for (std::int16_t& c : w) c = extreme_code(rng, -32767, 32767);
+    std::vector<std::int64_t> b(dims[l + 1]);
+    for (std::int64_t& c : b)
+      c = static_cast<std::int64_t>(rng.normal(0.0, 1e8));
+    io::write_vec_i16(ss, w);
+    io::write_vec_i64(ss, b);
+  }
+  return QuantizedMlp::load(ss);
+}
+
+TEST(QuantizedInference, BatchedHeadsMatchPredictOnAdversarialCodes) {
+  // classify_batch_into runs the split-weight pmaddwd kernel; predict runs
+  // the per-shot dot_i16 chain. Weights at +-32767 and input codes at
+  // -32768 / 32767 put every int32 partial at its bound. Odd widths cover
+  // the padded last pair, 301 inputs exceed simd::kMaxSplitPairs pairs,
+  // and the batch sizes cover partial vectors and shot blocks.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {45, 22, 11, 3}, {7, 5, 3}, {301, 9, 3}, {1, 2}};
+  Rng rng(4242);
+  for (const std::vector<std::size_t>& dims : shapes) {
+    for (int accum_bits : {32, 63}) {
+      const QuantizedMlp q = adversarial_mlp(dims, accum_bits, rng);
+      const std::size_t in_dim = dims.front();
+      for (std::size_t batch : {1u, 3u, 64u, 129u}) {
+        std::vector<std::int32_t> features(batch * in_dim);
+        for (std::int32_t& c : features) c = extreme_code(rng, -32768, 32767);
+        std::vector<int> labels(batch * 2, -1);
+        std::vector<std::int16_t> act_a, act_b;
+        std::vector<std::int64_t> logits;
+        q.classify_batch_into(batch, features.data(), act_a, act_b, logits,
+                              labels.data(), 2);
+        for (std::size_t s = 0; s < batch; ++s) {
+          const std::span<const std::int32_t> row(
+              features.data() + s * in_dim, in_dim);
+          EXPECT_EQ(labels[s * 2], q.predict(row, logits, act_a, act_b))
+              << "in " << in_dim << " accum " << accum_bits << " batch "
+              << batch << " shot " << s;
+          EXPECT_EQ(labels[s * 2 + 1], -1) << "stride slot overwritten";
+        }
+      }
+    }
+  }
+}
+
+/// A one-qubit QuantizedFrontend with six kernel rows of adversarial codes
+/// (a quarter each at +-max_code; row 0 is entirely +max_code real and
+/// -max_code imaginary), minted through load(). Trace grid <16,10>;
+/// feature grid <32,16> so the requant keeps enough bits that an inexact
+/// accumulator would show; filter f scales its score by 2^-(24 + 2f).
+QuantizedFrontend adversarial_frontend(std::size_t n_samples,
+                                       std::int16_t max_code, Rng& rng,
+                                       std::vector<std::int16_t>& kr,
+                                       std::vector<std::int16_t>& ki,
+                                       std::vector<double>& scale) {
+  constexpr std::size_t kFilters = 6;
+  std::stringstream ss;
+  io::write_u64(ss, n_samples);
+  io::write_u64(ss, 1);
+  save_format(ss, FixedPointFormat{16, 10});
+  save_format(ss, FixedPointFormat{32, 16});
+  save_format(ss, FixedPointFormat{16, 14});
+  io::write_u64(ss, kFilters);
+  for (std::size_t f = 0; f < kFilters; ++f)
+    save_format(ss, FixedPointFormat{16, 15});
+  kr.resize(kFilters * n_samples);
+  ki.resize(kFilters * n_samples);
+  for (std::size_t k = 0; k < kr.size(); ++k) {
+    const bool pinned = k < n_samples;
+    kr[k] = pinned ? max_code : extreme_code(rng, -max_code, max_code);
+    ki[k] = pinned ? static_cast<std::int16_t>(-max_code)
+                   : extreme_code(rng, -max_code, max_code);
+  }
+  io::write_vec_i16(ss, kr);
+  io::write_vec_i16(ss, ki);
+  scale.resize(kFilters);
+  for (std::size_t f = 0; f < kFilters; ++f)
+    scale[f] = std::ldexp(1.0, -24 - 2 * static_cast<int>(f));
+  io::write_vec_f64(ss, scale);
+  io::write_vec_f64(ss, std::vector<double>(kFilters, 0.0));
+  io::write_vec_i16(ss, std::vector<std::int16_t>(2 * n_samples, 0));
+  return QuantizedFrontend::load(ss);
+}
+
+TEST(QuantizedInference, BlockFrontendMatchesPerShotOnAdversarialCodes) {
+  // features_block_into scores four shots per kernel-row load
+  // (fused_dot_i16_strip_x4); features_into scores one. Kernel codes at
+  // +-32767 (strip 1: every block flushes into the split halves) and at
+  // +-2047 (strip 16: int32 strips first), trace codes saturated at
+  // -32768 / 32767, and an odd sample count for the vector tails. Both
+  // paths must also match a scalar int64 reference of the fused score.
+  Rng rng(777);
+  const std::size_t n = 509;
+  for (std::int16_t max_code : {std::int16_t{32767}, std::int16_t{2047}}) {
+    std::vector<std::int16_t> kr, ki;
+    std::vector<double> scale;
+    const QuantizedFrontend fe =
+        adversarial_frontend(n, max_code, rng, kr, ki, scale);
+    const std::size_t n_filters = fe.n_filters();
+    for (std::size_t batch : {1u, 3u, 64u, 129u}) {
+      std::vector<IqTrace> traces(batch, IqTrace(n));
+      std::vector<const IqTrace*> ptrs;
+      for (IqTrace& tr : traces) {
+        for (std::size_t t = 0; t < n; ++t) {
+          const double u = rng.uniform();
+          tr.i[t] = u < 0.25 ? 1e6f : u < 0.5 ? -1e6f
+                                              : static_cast<float>(
+                                                    rng.normal(0.0, 8.0));
+          tr.q[t] = u < 0.25 ? -1e6f : u < 0.5 ? 1e6f
+                                               : static_cast<float>(
+                                                     rng.normal(0.0, 8.0));
+        }
+        ptrs.push_back(&tr);
+      }
+      InferenceScratch block_scratch, shot_scratch;
+      std::vector<std::int32_t> block(batch * n_filters);
+      fe.features_block_into(batch, ptrs.data(), block_scratch, block.data(),
+                             n_filters);
+      for (std::size_t s = 0; s < batch; ++s) {
+        fe.features_into(traces[s], shot_scratch);
+        for (std::size_t f = 0; f < n_filters; ++f) {
+          const std::int64_t acc = simd::fused_dot_i16_scalar(
+              kr.data() + f * n, ki.data() + f * n,
+              shot_scratch.int_trace_i.data(), shot_scratch.int_trace_q.data(),
+              n);
+          const double z = std::clamp(static_cast<double>(acc) * scale[f],
+                                      -static_cast<double>(kMaxAbsFeatureZ),
+                                      static_cast<double>(kMaxAbsFeatureZ));
+          EXPECT_EQ(shot_scratch.int_features[f],
+                    to_code(z, fe.feature_format()))
+              << "max " << max_code << " shot " << s << " filter " << f;
+          EXPECT_EQ(block[s * n_filters + f], shot_scratch.int_features[f])
+              << "max " << max_code << " batch " << batch << " shot " << s
+              << " filter " << f;
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // SIMD-vs-scalar parity for common/simd.h — the contract the inference
 // rewrite rests on: integer kernels are bit-exact against the scalar
-// twins (exact int64 accumulators survive any vector reassociation),
+// twins (exact split-int32 and int64 accumulators survive any vector
+// reassociation),
 // float kernels stay within a small relative error of a double-precision
 // reference, and the trace-code quantizer matches to_code()'s
 // round-half-even semantics bit for bit. The scalar twins are compiled on
@@ -166,6 +167,149 @@ TEST(Simd, FusedDotI16StripX4BitExact) {
         EXPECT_EQ(out[s], simd::fused_dot_i16_scalar(kr.data(), ki.data(),
                                                      xi_ptr[s], xq_ptr[s], n))
             << "n=" << n << " s=" << s << " strip=" << c.strip;
+    }
+  }
+}
+
+TEST(Simd, SplitAccumulatorWorstCaseAndPastFlushBound) {
+  // The x86 kernels accumulate each madd partial p as 65536 * (p >> 16) +
+  // (p & 0xFFFF) in int32 lanes, exact for 2^12 flushes per lane, then
+  // recombine in int64. Drive both halves to their extremes for exactly
+  // 2^12 flushes per lane (n = 2^12 * 8 on SSE2, 2^12 * 16 on AVX2) and
+  // far past that bound, and compare with the scalar twins and closed
+  // forms.
+  const std::size_t kFlushes = std::size_t{1} << 12;
+  for (std::size_t n : {kFlushes * 8, kFlushes * 16, kFlushes * 128 + 5}) {
+    const auto nn = static_cast<std::int64_t>(n);
+    // High half at its bound: p = 2 * 32767 * 32768 = 65536 * 32767.
+    std::vector<std::int16_t> a(n, -32767), b(n, -32768);
+    EXPECT_EQ(simd::dot_i16(a.data(), b.data(), n), nn * 32767 * 32768)
+        << "n=" << n;
+    // Low half at its bound: p = -1, so p & 0xFFFF = 65535 every flush.
+    std::vector<std::int16_t> ones(n, 1), minus(n, 0);
+    for (std::size_t i = 0; i < n; i += 2) minus[i] = -1;
+    EXPECT_EQ(simd::dot_i16(ones.data(), minus.data(), n), -(nn + 1) / 2)
+        << "n=" << n;
+
+    // Fused: pr at +(2^31 - 2^16) and pi at -(2^31 - 2^16) per madd, so
+    // the high halves differ by 65535 per flush and pr - pi overflows
+    // int32 outright; then the low halves' difference at 65535.
+    const std::vector<std::int16_t> kpos(n, 32767), zero(n, 0);
+    std::vector<std::int16_t> kneg(n, -32767);
+    const std::int64_t hi_expect = 2 * nn * 32767 * 32768;
+    EXPECT_EQ(
+        simd::fused_dot_i16(kneg.data(), kpos.data(), b.data(), b.data(), n),
+        hi_expect)
+        << "n=" << n;
+    EXPECT_EQ(simd::fused_dot_i16_strip(kneg.data(), kpos.data(), b.data(),
+                                        b.data(), n, 1),
+              hi_expect)
+        << "n=" << n;
+    EXPECT_EQ(simd::fused_dot_i16(ones.data(), zero.data(), minus.data(),
+                                  zero.data(), n),
+              -(nn + 1) / 2)
+        << "n=" << n;
+    const std::int16_t* xi[4] = {b.data(), minus.data(), b.data(),
+                                 minus.data()};
+    const std::int16_t* xq[4] = {b.data(), zero.data(), zero.data(),
+                                 b.data()};
+    std::int64_t out[4];
+    simd::fused_dot_i16_strip_x4(kneg.data(), kpos.data(), xi, xq, n, 1, out);
+    for (int s = 0; s < 4; ++s)
+      EXPECT_EQ(out[s], simd::fused_dot_i16_scalar(kneg.data(), kpos.data(),
+                                                   xi[s], xq[s], n))
+          << "n=" << n << " s=" << s;
+
+    // Strip 2 with max|code| = 16383 (2 * 2 * 16383 * 2^15 < 2^31): every
+    // flush carries a two-block int32 strip near its bound.
+    std::fill(kneg.begin(), kneg.end(), std::int16_t{-16383});
+    std::vector<std::int16_t> kpos2(n, 16383);
+    const std::int64_t strip_expect = 2 * nn * 16383 * 32768;
+    EXPECT_EQ(simd::fused_dot_i16_strip(kneg.data(), kpos2.data(), b.data(),
+                                        b.data(), n, 2),
+              strip_expect)
+        << "n=" << n;
+    // Strip 4 in the four-stream kernel (two-block pr - pi strips) needs
+    // max|code| <= 8191.
+    std::fill(kneg.begin(), kneg.end(), std::int16_t{-8191});
+    std::fill(kpos2.begin(), kpos2.end(), std::int16_t{8191});
+    simd::fused_dot_i16_strip_x4(kneg.data(), kpos2.data(), xi, xq, n, 4, out);
+    for (int s = 0; s < 4; ++s)
+      EXPECT_EQ(out[s], simd::fused_dot_i16_scalar(kneg.data(), kpos2.data(),
+                                                   xi[s], xq[s], n))
+          << "n=" << n << " s=" << s << " strip 4";
+  }
+}
+
+/// Splits weight codes as w = 256 * hi + lo (hi in [-128, 127], lo in
+/// [0, 255]) — the layout QuantizedMlp derives for its batched heads.
+void split_weights(const std::vector<std::int16_t>& w,
+                   std::vector<std::int16_t>& hi,
+                   std::vector<std::int16_t>& lo) {
+  hi.resize(w.size());
+  lo.resize(w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    hi[i] = static_cast<std::int16_t>(w[i] >> 8);
+    lo[i] = static_cast<std::int16_t>(w[i] & 0xFF);
+  }
+}
+
+TEST(Simd, MaddSplitPairsBitExact) {
+  // Vector vs scalar twin across pair counts up to the exactness bound and
+  // shot counts below/at/above every tier's 4-vector shot group, with a
+  // padded pair stride; 256 * hi + lo must equal the exact int64 dot.
+  Rng rng(23);
+  const std::size_t kPairs[] = {0, 1, 2, 5, 23, simd::kMaxSplitPairs};
+  const std::size_t kShots[] = {0, 1, 3, 4, 7, 8, 9, 15, 16, 17,
+                                31, 32, 33, 64, 129};
+  for (std::size_t pairs : kPairs) {
+    const std::vector<std::int16_t> w =
+        random_codes(rng, 2 * pairs, -32767, 32767);
+    std::vector<std::int16_t> wh, wl;
+    split_weights(w, wh, wl);
+    for (std::size_t shots : kShots) {
+      const std::size_t stride = 2 * shots + 6;
+      const std::vector<std::int16_t> act =
+          random_codes(rng, pairs * stride, -32768, 32767);
+      std::vector<std::int32_t> hi(shots), lo(shots), hi_ref(shots),
+          lo_ref(shots);
+      simd::madd_split_pairs_i16(wh.data(), wl.data(), pairs, act.data(),
+                                 stride, shots, hi.data(), lo.data());
+      simd::madd_split_pairs_i16_scalar(wh.data(), wl.data(), pairs,
+                                        act.data(), stride, shots,
+                                        hi_ref.data(), lo_ref.data());
+      for (std::size_t s = 0; s < shots; ++s) {
+        EXPECT_EQ(hi[s], hi_ref[s]) << "pairs=" << pairs << " s=" << s;
+        EXPECT_EQ(lo[s], lo_ref[s]) << "pairs=" << pairs << " s=" << s;
+        std::int64_t exact = 0;
+        for (std::size_t i = 0; i < 2 * pairs; ++i)
+          exact += std::int64_t{w[i]} * act[i / 2 * stride + 2 * s + i % 2];
+        EXPECT_EQ(256 * std::int64_t{hi[s]} + lo[s], exact)
+            << "pairs=" << pairs << " shots=" << shots << " s=" << s;
+      }
+    }
+  }
+}
+
+TEST(Simd, MaddSplitPairsExtremeOperandsExact) {
+  // The bound itself: kMaxSplitPairs pairs, weights at +-32767 (hi 127 /
+  // -128, lo 255 / 1) and activations at -32768 or 32767 — the low half
+  // reaches 127 * 2 * 255 * 32768, just under 2^31.
+  const std::size_t pairs = simd::kMaxSplitPairs;
+  const std::size_t shots = 37;
+  for (std::int16_t wv : {std::int16_t{32767}, std::int16_t{-32767}}) {
+    for (std::int16_t xv : {std::int16_t{-32768}, std::int16_t{32767}}) {
+      const std::vector<std::int16_t> w(2 * pairs, wv);
+      std::vector<std::int16_t> wh, wl;
+      split_weights(w, wh, wl);
+      const std::vector<std::int16_t> act(pairs * 2 * shots, xv);
+      std::vector<std::int32_t> hi(shots), lo(shots);
+      simd::madd_split_pairs_i16(wh.data(), wl.data(), pairs, act.data(),
+                                 2 * shots, shots, hi.data(), lo.data());
+      for (std::size_t s = 0; s < shots; ++s)
+        EXPECT_EQ(256 * std::int64_t{hi[s]} + lo[s],
+                  static_cast<std::int64_t>(2 * pairs) * wv * xv)
+            << "w=" << wv << " x=" << xv << " s=" << s;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <semaphore>
 #include <thread>
@@ -476,18 +477,26 @@ TEST(Streaming, WaitForTimesOutWithoutConsumingTheTicket) {
   EXPECT_THROW(eng.wait(t0), Error);  // Now consumed: one-shot contract.
 }
 
+/// Per-shot deadline of the two shedding tests below, and how long they
+/// let the queued shots age. The first shot must be claimed within the
+/// deadline (or it is shed and never reaches the gate, and the test
+/// hangs), so the deadline sits far above a loaded host's scheduling
+/// delay between submit and claim.
+constexpr std::uint64_t kShedDeadlineUs = 50'000;
+constexpr auto kStaleAge = std::chrono::microseconds(2 * kShedDeadlineUs);
+
 TEST(Streaming, StaleFramesShedAndReportViaWaitResult) {
   auto gate = std::make_shared<Gate>();
   StreamingConfig cfg;
   cfg.batch_max = 1;
   cfg.deadline_us = 0;
-  cfg.shot_deadline_us = 1000;
+  cfg.shot_deadline_us = kShedDeadlineUs;
   StreamingEngine eng(gated_backend(gate), 1, cfg);
   const auto t0 = eng.submit(plain_frame());
   gate->started.acquire();  // t0 claimed fresh; its batch now sits blocked.
   const auto t1 = eng.submit(plain_frame());
   const auto t2 = eng.submit(plain_frame());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // t1/t2 stale.
+  std::this_thread::sleep_for(kStaleAge);  // t1/t2 stale.
   gate->go.release();
   std::vector<int> out(eng.num_qubits());
   EXPECT_EQ(eng.wait_result(t0, out), ShotStatus::kDone);
@@ -639,13 +648,13 @@ TEST(Streaming, DestructorReleasesUnconsumedShedTickets) {
   StreamingConfig cfg;
   cfg.batch_max = 1;
   cfg.deadline_us = 0;
-  cfg.shot_deadline_us = 1000;
+  cfg.shot_deadline_us = kShedDeadlineUs;
   StreamingEngine eng(gated_backend(gate), 1, cfg);
   eng.submit(plain_frame());
   gate->started.acquire();
   eng.submit(plain_frame());
   eng.submit(plain_frame());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(kStaleAge);
   gate->go.release();
   // Two tickets shed at destructor-drain time, none ever waited.
 }
