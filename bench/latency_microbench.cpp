@@ -18,7 +18,6 @@
 #include "bench_util.h"
 #include "discrim/fnn_baseline.h"
 #include "discrim/proposed.h"
-#include "discrim/quantized8_proposed.h"
 #include "discrim/quantized_proposed.h"
 #include "dsp/demodulator.h"
 #include "pipeline/readout_engine.h"
@@ -158,24 +157,25 @@ void BM_FusedFrontendFeatures(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedFrontendFeatures);
 
-// Per-stage breakdown of the integer datapaths. Both share the fused int16
-// front-end, calibrated per design: the int16 design's 16-bit kernel grid
-// runs strip 1 (every madd block flushes into the split int32 halves), the
-// int8 design's 8-bit grid runs deep int32 strips. Block and batched rows
-// report items = shots, so their per-shot cost is 1 / items_per_second.
+// Per-stage breakdown of the two IntegerProposedDiscriminator presets.
+// Both share the fused int16 front-end, calibrated per preset: the int16
+// preset's 16-bit kernel grid runs strip 1 (every madd block flushes into
+// the split int32 halves), the int8 preset's 8-bit grid runs deep int32
+// strips. Block and batched rows report items = shots, so their per-shot
+// cost is 1 / items_per_second.
 constexpr std::size_t kStageBlock = 64;
 
 struct Int16Path {
   using Design = QuantizedProposedDiscriminator;
-  using Logit = std::int64_t;
-  using Act = std::int16_t;
+  using Logit = Design::Head::Logit;
+  using Act = Design::Head::Act;
   static const Design& get() { return BenchState::get().int16; }
 };
 
 struct Int8Path {
   using Design = Quantized8ProposedDiscriminator;
-  using Logit = std::int32_t;
-  using Act = std::uint8_t;
+  using Logit = Design::Head::Logit;
+  using Act = Design::Head::Act;
   static const Design& get() { return BenchState::get().int8; }
 };
 

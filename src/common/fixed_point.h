@@ -1,7 +1,7 @@
 // Fixed-point quantization helpers.
 //
 // The FPGA resource model (src/fpga) and the integer inference backend
-// (src/dsp/quantized_frontend, src/nn/quantized_mlp) both need
+// (src/dsp/quantized_frontend, src/nn/integer_mlp) both need
 // ap_fixed-style rounding: a signed two's-complement value with
 // `total_bits` bits, `frac_bits` of which sit right of the binary point
 // (mirrors Vivado HLS ap_fixed<W,I>). All rounding here is explicit

@@ -14,12 +14,14 @@
 
 #include <bit>
 #include <complex>
+#include <concepts>
 #include <cstdint>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -38,11 +40,6 @@ inline void write_u8(std::ostream& os, std::uint8_t v) {
   os.put(static_cast<char>(v));
 }
 
-inline void write_u16(std::ostream& os, std::uint16_t v) {
-  char b[2] = {static_cast<char>(v & 0xff), static_cast<char>(v >> 8)};
-  os.write(b, 2);
-}
-
 inline void write_u32(std::ostream& os, std::uint32_t v) {
   char b[4];
   for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
@@ -55,16 +52,8 @@ inline void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(b, 8);
 }
 
-inline void write_i16(std::ostream& os, std::int16_t v) {
-  write_u16(os, static_cast<std::uint16_t>(v));
-}
-
 inline void write_i32(std::ostream& os, std::int32_t v) {
   write_u32(os, static_cast<std::uint32_t>(v));
-}
-
-inline void write_i64(std::ostream& os, std::int64_t v) {
-  write_u64(os, static_cast<std::uint64_t>(v));
 }
 
 inline void write_f32(std::ostream& os, float v) {
@@ -98,14 +87,6 @@ inline std::uint8_t read_u8(std::istream& is) {
   return static_cast<std::uint8_t>(b);
 }
 
-inline std::uint16_t read_u16(std::istream& is) {
-  char b[2];
-  read_bytes(is, b, 2);
-  return static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(b[1])) << 8) |
-      static_cast<std::uint8_t>(b[0]));
-}
-
 inline std::uint32_t read_u32(std::istream& is) {
   char b[4];
   read_bytes(is, b, 4);
@@ -124,16 +105,8 @@ inline std::uint64_t read_u64(std::istream& is) {
   return v;
 }
 
-inline std::int16_t read_i16(std::istream& is) {
-  return static_cast<std::int16_t>(read_u16(is));
-}
-
 inline std::int32_t read_i32(std::istream& is) {
   return static_cast<std::int32_t>(read_u32(is));
-}
-
-inline std::int64_t read_i64(std::istream& is) {
-  return static_cast<std::int64_t>(read_u64(is));
 }
 
 inline float read_f32(std::istream& is) {
@@ -213,24 +186,18 @@ inline void write_vec_f64(std::ostream& os, std::span<const double> v) {
   for (double x : v) write_f64(os, x);
 }
 
-inline void write_vec_i8(std::ostream& os, std::span<const std::int8_t> v) {
+/// Signed-integer vectors (int8 ... int64): a u64 count, then every element
+/// little-endian at its own width.
+template <std::signed_integral T>
+void write_vec_int(std::ostream& os, const std::vector<T>& v) {
   write_u64(os, v.size());
-  for (std::int8_t x : v) write_u8(os, static_cast<std::uint8_t>(x));
-}
-
-inline void write_vec_i16(std::ostream& os, std::span<const std::int16_t> v) {
-  write_u64(os, v.size());
-  for (std::int16_t x : v) write_i16(os, x);
-}
-
-inline void write_vec_i32(std::ostream& os, std::span<const std::int32_t> v) {
-  write_u64(os, v.size());
-  for (std::int32_t x : v) write_i32(os, x);
-}
-
-inline void write_vec_i64(std::ostream& os, std::span<const std::int64_t> v) {
-  write_u64(os, v.size());
-  for (std::int64_t x : v) write_i64(os, x);
+  for (T x : v) {
+    const auto u = static_cast<std::make_unsigned_t<T>>(x);
+    char b[sizeof(T)];
+    for (std::size_t k = 0; k < sizeof(T); ++k)
+      b[k] = static_cast<char>((u >> (8 * k)) & 0xff);
+    os.write(b, sizeof(T));
+  }
 }
 
 inline void write_vec_u64(std::ostream& os, std::span<const std::size_t> v) {
@@ -259,30 +226,17 @@ inline std::vector<double> read_vec_f64(std::istream& is) {
   return v;
 }
 
-inline std::vector<std::int8_t> read_vec_i8(std::istream& is) {
-  std::vector<std::int8_t> v(read_count(is, kMaxSerializedCount, 1));
-  for (std::int8_t& x : v) x = static_cast<std::int8_t>(read_u8(is));
-  return v;
-}
-
-inline std::vector<std::int16_t> read_vec_i16(std::istream& is) {
-  std::vector<std::int16_t> v(
-      read_count(is, kMaxSerializedCount, sizeof(std::int16_t)));
-  for (std::int16_t& x : v) x = read_i16(is);
-  return v;
-}
-
-inline std::vector<std::int32_t> read_vec_i32(std::istream& is) {
-  std::vector<std::int32_t> v(
-      read_count(is, kMaxSerializedCount, sizeof(std::int32_t)));
-  for (std::int32_t& x : v) x = read_i32(is);
-  return v;
-}
-
-inline std::vector<std::int64_t> read_vec_i64(std::istream& is) {
-  std::vector<std::int64_t> v(
-      read_count(is, kMaxSerializedCount, sizeof(std::int64_t)));
-  for (std::int64_t& x : v) x = read_i64(is);
+template <std::signed_integral T>
+std::vector<T> read_vec_int(std::istream& is) {
+  std::vector<T> v(read_count(is, kMaxSerializedCount, sizeof(T)));
+  for (T& x : v) {
+    char b[sizeof(T)];
+    read_bytes(is, b, sizeof(T));
+    std::uint64_t u = 0;
+    for (std::size_t k = sizeof(T); k-- > 0;)
+      u = (u << 8) | static_cast<std::uint8_t>(b[k]);
+    x = static_cast<T>(static_cast<std::make_unsigned_t<T>>(u));
+  }
   return v;
 }
 

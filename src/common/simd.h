@@ -23,9 +23,9 @@
 // operand (kernels / weights) therefore must not contain -32768. Codes
 // produced by fit_format over a symmetric range satisfy this by
 // construction (|code| <= 2^(W-1)-1); QuantizedFrontend::build and
-// QuantizedMlp::quantize additionally assert it, and both loaders re-check
-// it. The `b` operand (trace / activation codes) may use the full int16
-// range including -32768.
+// IntegerMlp<int16_t>::quantize additionally assert it, and both loaders
+// re-check it. The `b` operand (trace / activation codes) may use the
+// full int16 range including -32768.
 //
 // The x86 tiers never widen a madd result to int64 in the hot loop: each
 // int32 partial p is split as 65536 * (p >> 16) + (p & 0xFFFF), the halves
@@ -210,8 +210,8 @@ inline void madd_split_pairs_i16_scalar(const std::int16_t* wh,
 /// sum_i u[i]*w[i] with u unsigned 8-bit and w signed 8-bit — the vpdpbusd
 /// operand convention of the int8 MLP (activations carry a +128 bias that
 /// the caller corrects with a per-row constant). The int32 accumulator is
-/// exact for n <= 65807 (n * 255 * 128 < 2^31); Quantized8Mlp bounds layer
-/// widths far below that.
+/// exact for n <= 65807 (n * 255 * 128 < 2^31); IntegerMlp<int8_t> bounds
+/// layer widths far below that.
 inline std::int32_t dot_u8i8_scalar(const std::uint8_t* u, const std::int8_t* w,
                                     std::size_t n) {
   std::int32_t acc = 0;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "sim/iq.h"
@@ -24,6 +25,19 @@ namespace mlqr {
 /// classify_batch_into methods take them directly.
 using ShotFrameAt = std::function<const IqTrace&(std::size_t)>;
 using ShotLabelsAt = std::function<std::span<int>(std::size_t)>;
+
+/// One integer head width's reused buffers (IntegerMlp<Code>::predict and
+/// classify_batch_into): the activation ping-pong pair in the width's
+/// storage type and the logit accumulators.
+template <typename Act, typename Logit>
+struct IntegerHeadScratch {
+  std::vector<Act> act_a;
+  std::vector<Act> act_b;
+  std::vector<Logit> logits;
+};
+using IntegerHeadScratchSet =
+    std::tuple<IntegerHeadScratch<std::int16_t, std::int64_t>,
+               IntegerHeadScratch<std::uint8_t, std::int32_t>>;
 
 /// Scratch space shared by every discriminator's classify_into path. A
 /// single instance may be reused across *different* discriminators (the
@@ -40,24 +54,15 @@ struct InferenceScratch {
   std::vector<float> logits;
   std::vector<float> activations;
 
-  /// Integer-path buffers (QuantizedProposedDiscriminator): the raw trace
-  /// converted to fixed-point I/Q codes, the merged feature codes, the
-  /// integer logit accumulators, and the int16 activation ping-pong pair
-  /// (activation codes are <= 16 bits wide; the narrow type feeds the
-  /// widening int16 SIMD dot products directly).
+  /// Integer-path buffers (IntegerProposedDiscriminator): the raw trace
+  /// converted to fixed-point I/Q codes and the merged feature codes.
   std::vector<std::int16_t> int_trace_i;
   std::vector<std::int16_t> int_trace_q;
   std::vector<std::int32_t> int_features;
-  std::vector<std::int64_t> int_logits;
-  std::vector<std::int16_t> int_act_a;
-  std::vector<std::int16_t> int_act_b;
-
-  /// Int8-path per-shot buffers (Quantized8ProposedDiscriminator): biased
-  /// uint8 activation ping-pong pair and int32 logit accumulators. Feature
-  /// extraction reuses int_features.
-  std::vector<std::uint8_t> u8_act_a;
-  std::vector<std::uint8_t> u8_act_b;
-  std::vector<std::int32_t> i32_logits;
+  /// Per-shot integer-head buffers, one entry per head width (int16:
+  /// int16 activations, int64 logits; int8: biased uint8 activations,
+  /// int32 logits), selected by type with std::get.
+  IntegerHeadScratchSet int_heads;
 
   /// Batched-GEMM buffers (classify_batch_into): row-major tile matrices
   /// gathering per-shot feature vectors so the MLP stage runs as one GEMM
@@ -68,12 +73,7 @@ struct InferenceScratch {
   std::vector<float> batch_act_a;         ///< GEMM activation ping-pong.
   std::vector<float> batch_act_b;
   std::vector<std::int32_t> batch_int_features;  ///< tile x feat_dim codes.
-  std::vector<std::int16_t> batch_i16_act_a;     ///< int16 batch ping-pong.
-  std::vector<std::int16_t> batch_i16_act_b;
-  std::vector<std::int64_t> batch_i64_logits;    ///< int16-path logits.
-  std::vector<std::uint8_t> batch_u8_act_a;      ///< int8 batch ping-pong.
-  std::vector<std::uint8_t> batch_u8_act_b;
-  std::vector<std::int32_t> batch_i32_logits;    ///< int8-path logits.
+  IntegerHeadScratchSet batch_int_heads;         ///< Batched head buffers.
   std::vector<int> batch_labels;                 ///< tile x n_qubits stage.
 
   /// Blocked front-end staging (QuantizedFrontend::features_block_into):

@@ -1,19 +1,31 @@
 // Integer fixed-point twin of the proposed discriminator — the actual
 // FPGA datapath end-to-end: fused int16 demod+matched-filter front-end
-// (QuantizedFrontend) feeding one integer per-qubit head (QuantizedMlp)
+// (QuantizedFrontend) feeding one integer per-qubit head (IntegerMlp)
 // each. Exposes the same classify_into(trace, scratch, out) contract as
 // the float designs, so make_backend plugs it straight into
-// ReadoutEngine::process_batch; per-shot inference is pure, so labels are
-// bit-identical across batch sizes and thread counts.
+// ReadoutEngine::process_batch; per-shot inference is pure integer
+// arithmetic, so labels are bit-identical across batch sizes, thread
+// counts, shards and SIMD tiers.
 //
 // Built by *calibrated* quantization of a trained float
 // ProposedDiscriminator: fixed-point formats for the trace, features,
 // kernels, weights and activations are fitted from training data
 // (fit_format / saturating_format), not assumed — the resource model reads
 // these calibrated widths via design_spec().
+//
+// Two presets ship, the W=16 and W=8 points of the paper's quantization
+// ablation (Fig 6); they differ only in the heads' code width (the
+// front-end's kernel and trace grids are calibrated independently of it):
+//   QuantizedProposedDiscriminator   int16 heads, default 16/16/32,
+//                                    named OURS-INT<weight_bits>,
+//                                    snapshot kind 1.
+//   Quantized8ProposedDiscriminator  int8 heads on simd::dot_u8i8 (vpdpbusd
+//                                    on VNNI hosts), default 8/8/24, named
+//                                    OURS-INT8, snapshot kind 5.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -25,7 +37,7 @@
 #include "discrim/shot_set.h"
 #include "dsp/quantized_frontend.h"
 #include "fpga/resource_model.h"
-#include "nn/quantized_mlp.h"
+#include "nn/integer_mlp.h"
 
 namespace mlqr {
 
@@ -42,19 +54,57 @@ struct CalibratedFormats {
   int min_weight_frac_bits = 0;
 };
 
-/// Trained-then-quantized instance of the proposed design.
-class QuantizedProposedDiscriminator {
+/// What a preset fixes beyond its head width: the default precision knobs
+/// and the backend name its snapshots carry.
+template <typename Code>
+struct IntegerPreset;
+
+template <>
+struct IntegerPreset<std::int16_t> {
+  /// The W=16 deployment widths: 16-bit codes, a 32-bit accumulator.
+  static QuantizationConfig default_config() { return {}; }
+  static std::string name(const QuantizationConfig& cfg) {
+    return "OURS-INT" + std::to_string(cfg.weight_bits);
+  }
+};
+
+template <>
+struct IntegerPreset<std::int8_t> {
+  /// The Fig 6 ablation's W=8 grid, with the accumulator sized so int32
+  /// holds every logit.
+  static QuantizationConfig default_config() {
+    QuantizationConfig cfg;
+    cfg.weight_bits = 8;
+    cfg.activation_bits = 8;
+    cfg.accum_bits = 24;
+    return cfg;
+  }
+  static std::string name(const QuantizationConfig&) { return "OURS-INT8"; }
+};
+
+/// Trained-then-quantized instance of the proposed design with
+/// IntegerMlp<Code> heads.
+template <typename Code>
+class IntegerProposedDiscriminator {
  public:
+  using Head = IntegerMlp<Code>;
+
   /// Quantizes a trained float discriminator. `calib`/`calib_idx` supply
   /// the range-calibration shots (use the training split; capped at
-  /// cfg.max_calibration_shots).
-  static QuantizedProposedDiscriminator quantize(
+  /// cfg.max_calibration_shots). cfg must satisfy the head width's limits
+  /// (see IntegerMlp::quantize).
+  static IntegerProposedDiscriminator quantize(
       const ProposedDiscriminator& d, const ShotSet& calib,
       std::span<const std::size_t> calib_idx,
-      const QuantizationConfig& cfg = {});
+      const QuantizationConfig& cfg = IntegerPreset<Code>::default_config());
 
   /// Per-qubit level predictions for one multiplexed trace. Thread-safe.
-  std::vector<int> classify(const IqTrace& trace) const;
+  std::vector<int> classify(const IqTrace& trace) const {
+    InferenceScratch scratch;
+    std::vector<int> out(heads_.size());
+    classify_into(trace, scratch, out);
+    return out;
+  }
 
   /// Allocation-free integer path: raw trace -> fused int front-end ->
   /// integer heads, entirely inside `scratch`'s reused buffers. `out` must
@@ -64,7 +114,7 @@ class QuantizedProposedDiscriminator {
 
   /// Batched classify over shots [lo, hi): feature codes gathered into a
   /// row-major tile, each integer head swept weight-row-outer over the
-  /// whole tile (QuantizedMlp::classify_batch_into), labels scattered back
+  /// whole tile (IntegerMlp::classify_batch_into), labels scattered back
   /// through `labels_at(s)`. Integer arithmetic is exact, so labels are
   /// bit-identical to classify_into. Thread-safe for distinct scratches.
   void classify_batch_into(std::size_t lo, std::size_t hi,
@@ -72,15 +122,13 @@ class QuantizedProposedDiscriminator {
                            InferenceScratch& scratch,
                            const ShotLabelsAt& labels_at) const;
 
-  std::string name() const {
-    return "OURS-INT" + std::to_string(cfg_.weight_bits);
-  }
+  std::string name() const { return IntegerPreset<Code>::name(cfg_); }
 
   std::size_t num_qubits() const { return heads_.size(); }
   std::size_t samples_used() const { return frontend_.n_samples(); }
   std::size_t feature_dim() const { return frontend_.n_filters(); }
   const QuantizedFrontend& frontend() const { return frontend_; }
-  const QuantizedMlp& head(std::size_t q) const { return heads_.at(q); }
+  const Head& head(std::size_t q) const { return heads_.at(q); }
   const QuantizationConfig& config() const { return cfg_; }
 
   CalibratedFormats calibrated_formats() const;
@@ -96,12 +144,24 @@ class QuantizedProposedDiscriminator {
   /// save_backend / load_backend wrappers, which add the magic+version
   /// header.
   void save(std::ostream& os) const;
-  static QuantizedProposedDiscriminator load(std::istream& is);
+  static IntegerProposedDiscriminator load(std::istream& is);
 
  private:
+  /// This width's entry in InferenceScratch's integer-head buffer sets.
+  using HeadScratch =
+      IntegerHeadScratch<typename Head::Act, typename Head::Logit>;
+
   QuantizationConfig cfg_;
   QuantizedFrontend frontend_;
-  std::vector<QuantizedMlp> heads_;  ///< One integer head per qubit.
+  std::vector<Head> heads_;  ///< One integer head per qubit.
 };
+
+extern template class IntegerProposedDiscriminator<std::int16_t>;
+extern template class IntegerProposedDiscriminator<std::int8_t>;
+
+using QuantizedProposedDiscriminator =
+    IntegerProposedDiscriminator<std::int16_t>;
+using Quantized8ProposedDiscriminator =
+    IntegerProposedDiscriminator<std::int8_t>;
 
 }  // namespace mlqr

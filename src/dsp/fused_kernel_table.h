@@ -94,10 +94,10 @@ struct FusedSampleTraits<std::int16_t> {
   }
   static void write_rows(std::ostream& os,
                          const std::vector<std::int16_t>& rows) {
-    io::write_vec_i16(os, rows);
+    io::write_vec_int(os, rows);
   }
   static std::vector<std::int16_t> read_rows(std::istream& is) {
-    return io::read_vec_i16(is);
+    return io::read_vec_int<std::int16_t>(is);
   }
   /// fused_dot_i16's pairwise int16 multiply-add requires kernel codes
   /// != -2^15 — the invariant the builders pin where codes are minted,

@@ -109,7 +109,7 @@ void QuantizedFrontend::save(std::ostream& os) const {
   table_.save_rows(os);
   io::write_vec_f64(os, scale_);
   io::write_vec_f64(os, offset_);
-  io::write_vec_i16(os, lo_);
+  io::write_vec_int(os, lo_);
 }
 
 QuantizedFrontend QuantizedFrontend::load(std::istream& is) {
@@ -132,7 +132,7 @@ QuantizedFrontend QuantizedFrontend::load(std::istream& is) {
   fe.table_.load_rows(is, fe.n_samples_);
   fe.scale_ = io::read_vec_f64(is);
   fe.offset_ = io::read_vec_f64(is);
-  fe.lo_ = io::read_vec_i16(is);
+  fe.lo_ = io::read_vec_int<std::int16_t>(is);
   MLQR_CHECK_MSG(n_filters > 0 && fe.scale_.size() == n_filters &&
                      fe.offset_.size() == n_filters &&
                      fe.table_.row_elements() == n_filters * fe.n_samples_ &&

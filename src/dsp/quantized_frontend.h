@@ -39,7 +39,7 @@
 namespace mlqr {
 
 /// Integer front-end: raw IQ trace -> normalized feature codes on
-/// `feature_format()`'s grid, ready for QuantizedMlp.
+/// `feature_format()`'s grid, ready for IntegerMlp.
 class QuantizedFrontend {
  public:
   QuantizedFrontend() = default;

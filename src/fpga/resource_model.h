@@ -60,7 +60,7 @@ struct Utilization {
 };
 
 /// HLS precision knobs derived from a design's actually-calibrated
-/// fixed-point widths (e.g. QuantizedProposedDiscriminator's weight and
+/// fixed-point widths (e.g. IntegerProposedDiscriminator's weight and
 /// accumulator code widths) instead of the assumed deployment defaults —
 /// resource-vs-fidelity sweeps stay honest to the datapath that ran.
 HlsConfig hls_config_from_formats(int weight_bits, int accum_bits,

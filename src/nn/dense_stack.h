@@ -1,5 +1,5 @@
 // Building blocks shared by the float (nn/mlp.h) and integer
-// (nn/quantized_mlp.h) dense networks.
+// (nn/integer_mlp.h) dense networks.
 //
 // Both MLPs are stacks of layers carrying `in`/`out` dims plus weight and
 // bias payloads; only the arithmetic differs. The dimension bookkeeping —
@@ -52,7 +52,7 @@ std::size_t stack_parameter_count(const std::vector<L>& layers) {
 /// Load-path validation of one just-deserialized layer: nonzero dims, the
 /// chain rule (layer l's input width equals layer l-1's output width), and
 /// payload sizes matching the dims. `what` names the network kind in the
-/// error ("MLP", "quantized MLP"). `prev_out` is 0 for the first layer and
+/// error ("MLP", "integer MLP"). `prev_out` is 0 for the first layer and
 /// the previous layer's `out` after; callers thread it through the loop.
 template <DenseLayerLike L>
 void check_layer_chain(const L& l, std::size_t prev_out, const char* what) {

@@ -149,7 +149,7 @@ TEST(QuantizedInference, LoTableIsUnitMagnitude) {
   }
 }
 
-TEST(QuantizedInference, QuantizedMlpTracksFloatLogits) {
+TEST(QuantizedInference, IntegerMlpTracksFloatLogits) {
   // Hand-built tiny network with deterministic weights: the integer logits,
   // decoded, must track the float logits within a few grid steps.
   Mlp mlp({4, 6, 3});
@@ -162,8 +162,8 @@ TEST(QuantizedInference, QuantizedMlpTracksFloatLogits) {
       calib.push_back(static_cast<float>(data_rng.normal(0.0, 2.0)));
 
   const FixedPointFormat in_fmt = fit_format(-8.0, 8.0, 16);
-  const QuantizedMlp q =
-      QuantizedMlp::quantize(mlp, calib, in_fmt, QuantizationConfig{});
+  const IntegerMlp<std::int16_t> q = IntegerMlp<std::int16_t>::quantize(
+      mlp, calib, in_fmt, QuantizationConfig{});
 
   std::vector<std::int32_t> codes(4);
   std::vector<std::int64_t> logits;
@@ -185,106 +185,176 @@ TEST(QuantizedInference, QuantizedMlpTracksFloatLogits) {
   }
 }
 
-TEST(QuantizedInference, MlpForwardBitExactVsNaiveReference) {
-  // The SIMD dot products inside logits_into must leave the integer
-  // contract untouched: recomputing every layer with plain scalar loops
-  // (the FPGA-schedule reference) yields bit-identical logits.
-  const Fixture& fx = Fixture::get();
-  const QuantizedMlp& head = fx.quantized.head(0);
-  const QuantizedFrontend& fe = fx.quantized.frontend();
-  InferenceScratch scratch;
-  std::vector<std::int64_t> logits;
-  std::vector<std::int16_t> a, b;
-  for (std::size_t s = 0; s < 25; ++s) {
-    fe.features_into(fx.ds.shots.traces[s], scratch);
-    head.logits_into(scratch.int_features, logits, a, b);
-
-    std::vector<std::int64_t> cur(scratch.int_features.begin(),
-                                  scratch.int_features.end());
-    const int accum_bits = head.config().accum_bits;
-    for (std::size_t l = 0; l < head.layers().size(); ++l) {
-      const QuantizedDenseLayer& layer = head.layers()[l];
-      const bool last = l + 1 == head.layers().size();
-      std::vector<std::int64_t> next(layer.out);
-      for (std::size_t j = 0; j < layer.out; ++j) {
-        std::int64_t acc = layer.b[j];
-        for (std::size_t i = 0; i < layer.in; ++i)
-          acc += static_cast<std::int64_t>(layer.w[j * layer.in + i]) * cur[i];
-        acc = saturate_to_bits(acc, accum_bits);
-        if (!last) {
-          if (acc < 0) acc = 0;
-          const int shift = layer.in_fmt.frac_bits +
-                            layer.weight_fmt.frac_bits -
-                            head.layers()[l + 1].in_fmt.frac_bits;
-          acc = saturate_to_bits(shift_round_half_even(acc, shift),
-                                 head.config().activation_bits);
-        }
-        next[j] = acc;
-      }
-      cur = std::move(next);
-    }
-    ASSERT_EQ(logits.size(), cur.size());
-    for (std::size_t j = 0; j < cur.size(); ++j)
-      EXPECT_EQ(logits[j], cur[j]) << "shot " << s << " logit " << j;
+/// Both presets, by head code type; the integer-head tests below run once
+/// per width.
+template <typename Code>
+class IntegerHeads : public ::testing::Test {};
+using Presets = ::testing::Types<std::int16_t, std::int8_t>;
+struct PresetName {
+  template <typename Code>
+  static std::string GetName(int) {
+    return "Int" + std::to_string(IntegerWidth<Code>::kCodeBits);
   }
+};
+TYPED_TEST_SUITE(IntegerHeads, Presets, PresetName);
+
+/// The FPGA-schedule reference: every layer recomputed from the stored
+/// codes with plain scalar int64 loops.
+template <typename Head>
+std::vector<std::int64_t> naive_logits(const Head& head,
+                                       std::span<const std::int32_t> x) {
+  std::vector<std::int64_t> cur(x.begin(), x.end());
+  const QuantizationConfig& cfg = head.config();
+  for (std::size_t l = 0; l < head.layers().size(); ++l) {
+    const auto& layer = head.layers()[l];
+    const bool last = l + 1 == head.layers().size();
+    std::vector<std::int64_t> next(layer.out);
+    for (std::size_t j = 0; j < layer.out; ++j) {
+      std::int64_t acc = layer.b[j];
+      for (std::size_t i = 0; i < layer.in; ++i)
+        acc += static_cast<std::int64_t>(layer.w[j * layer.in + i]) * cur[i];
+      acc = saturate_to_bits(acc, cfg.accum_bits);
+      if (!last) {
+        if (acc < 0) acc = 0;
+        const int shift = layer.in_fmt.frac_bits + layer.weight_fmt.frac_bits -
+                          head.layers()[l + 1].in_fmt.frac_bits;
+        acc = saturate_to_bits(shift_round_half_even(acc, shift),
+                               cfg.activation_bits);
+      }
+      next[j] = acc;
+    }
+    cur = std::move(next);
+  }
+  return cur;
 }
 
-/// An int16 code in [lo, hi] that lands on either bound a quarter of the
+/// An integer code in [lo, hi] that lands on either bound a quarter of the
 /// time each — the adversarial mix for the batched kernels.
-std::int16_t extreme_code(Rng& rng, int lo, int hi) {
+int extreme_code(Rng& rng, int lo, int hi) {
   const double u = rng.uniform();
-  if (u < 0.25) return static_cast<std::int16_t>(lo);
-  if (u < 0.5) return static_cast<std::int16_t>(hi);
-  return static_cast<std::int16_t>(
-      std::min(hi, lo + static_cast<int>(rng.uniform() * (hi - lo + 1))));
+  if (u < 0.25) return lo;
+  if (u < 0.5) return hi;
+  return std::min(hi, lo + static_cast<int>(rng.uniform() * (hi - lo + 1)));
 }
 
-/// A QuantizedMlp over `dims` with adversarial weight codes (a quarter
-/// each at +-32767), minted through load() — the only way to choose codes
-/// freely. Formats: inputs <16,8>, weights <16,12>, so a hidden layer
+/// The adversarial setup of one head width: weight codes at the kernels'
+/// bounds (+-32767 at int16, -128/127 at int8), input codes at both ends
+/// of the activation grid, an accumulator width the extremes saturate
+/// beside the widest one the width admits, and a bias spread scaled with
+/// the product range.
+template <typename Code>
+struct Extremes {
+  using Width = IntegerWidth<Code>;
+  static constexpr int kBits = Width::kCodeBits;
+  static constexpr int kCodeMax = (1 << (kBits - 1)) - 1;
+  static constexpr int kWeightLo = Width::kMinWeightCode;
+  static constexpr int kInLo = -kCodeMax - 1;
+  static constexpr int kAccumBits[2] = {2 * kBits, Width::kMaxAccumBits};
+  static double bias_sd() { return std::ldexp(1e8, 2 * (kBits - 16)); }
+};
+
+/// Head shapes for the adversarial cases: odd widths cover the padded last
+/// int16 pair, 301 inputs exceed simd::kMaxSplitPairs pairs.
+const std::vector<std::vector<std::size_t>> kAdversarialShapes = {
+    {45, 22, 11, 3}, {7, 5, 3}, {301, 9, 3}, {1, 2}};
+
+/// An integer head over `dims` with adversarial weight codes (a quarter
+/// each at either bound), minted through load() — the only way to choose
+/// codes freely. Formats: inputs <W,8>, weights <W,12>, so a hidden layer
 /// requantizes by a 12-bit shift.
-QuantizedMlp adversarial_mlp(const std::vector<std::size_t>& dims,
-                             int accum_bits, Rng& rng) {
+template <typename Code>
+IntegerMlp<Code> adversarial_head(const std::vector<std::size_t>& dims,
+                                  int accum_bits, Rng& rng) {
+  using X = Extremes<Code>;
   std::stringstream ss;
   QuantizationConfig cfg;
+  cfg.weight_bits = X::kBits;
+  cfg.activation_bits = X::kBits;
   cfg.accum_bits = accum_bits;
   save_quantization_config(ss, cfg);
   io::write_u64(ss, dims.size() - 1);
   for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
     io::write_u64(ss, dims[l]);
     io::write_u64(ss, dims[l + 1]);
-    save_format(ss, FixedPointFormat{16, 12});
-    save_format(ss, FixedPointFormat{16, 8});
-    std::vector<std::int16_t> w(dims[l] * dims[l + 1]);
-    for (std::int16_t& c : w) c = extreme_code(rng, -32767, 32767);
-    std::vector<std::int64_t> b(dims[l + 1]);
-    for (std::int64_t& c : b)
-      c = static_cast<std::int64_t>(rng.normal(0.0, 1e8));
-    io::write_vec_i16(ss, w);
-    io::write_vec_i64(ss, b);
+    save_format(ss, FixedPointFormat{X::kBits, 12});
+    save_format(ss, FixedPointFormat{X::kBits, 8});
+    std::vector<Code> w(dims[l] * dims[l + 1]);
+    for (Code& c : w)
+      c = static_cast<Code>(extreme_code(rng, X::kWeightLo, X::kCodeMax));
+    std::vector<typename IntegerMlp<Code>::Logit> b(dims[l + 1]);
+    for (auto& c : b)
+      c = static_cast<typename IntegerMlp<Code>::Logit>(
+          rng.normal(0.0, X::bias_sd()));
+    io::write_vec_int(ss, w);
+    io::write_vec_int(ss, b);
   }
-  return QuantizedMlp::load(ss);
+  return IntegerMlp<Code>::load(ss);
 }
 
-TEST(QuantizedInference, BatchedHeadsMatchPredictOnAdversarialCodes) {
-  // classify_batch_into runs the split-weight pmaddwd kernel; predict runs
-  // the per-shot dot_i16 chain. Weights at +-32767 and input codes at
-  // -32768 / 32767 put every int32 partial at its bound. Odd widths cover
-  // the padded last pair, 301 inputs exceed simd::kMaxSplitPairs pairs,
-  // and the batch sizes cover partial vectors and shot blocks.
-  const std::vector<std::vector<std::size_t>> shapes = {
-      {45, 22, 11, 3}, {7, 5, 3}, {301, 9, 3}, {1, 2}};
+TYPED_TEST(IntegerHeads, MlpForwardBitExactVsNaiveReference) {
+  // The SIMD dot products inside logits_into must leave the integer
+  // contract untouched: recomputing every layer with plain scalar loops
+  // (the FPGA-schedule reference) yields bit-identical logits — on a
+  // calibrated head over real features, and on adversarial heads whose
+  // weight and input codes sit at the width's bounds.
+  using Head = IntegerMlp<TypeParam>;
+  using X = Extremes<TypeParam>;
+  const Fixture& fx = Fixture::get();
+  const auto d = IntegerProposedDiscriminator<TypeParam>::quantize(
+      fx.proposed, fx.ds.shots, fx.ds.train_idx);
+  std::vector<typename Head::Logit> logits;
+  std::vector<typename Head::Act> a, b;
+  const auto expect_naive = [&](const Head& head,
+                                std::span<const std::int32_t> x,
+                                const std::string& where) {
+    head.logits_into(x, logits, a, b);
+    const std::vector<std::int64_t> ref = naive_logits(head, x);
+    ASSERT_EQ(logits.size(), ref.size());
+    for (std::size_t j = 0; j < ref.size(); ++j)
+      EXPECT_EQ(std::int64_t{logits[j]}, ref[j]) << where << " logit " << j;
+  };
+
+  InferenceScratch scratch;
+  for (std::size_t s = 0; s < 25; ++s) {
+    d.frontend().features_into(fx.ds.shots.traces[s], scratch);
+    expect_naive(d.head(0), scratch.int_features, "shot " + std::to_string(s));
+  }
+  Rng rng(4343);
+  for (const std::vector<std::size_t>& dims : kAdversarialShapes) {
+    for (int accum_bits : X::kAccumBits) {
+      const Head q = adversarial_head<TypeParam>(dims, accum_bits, rng);
+      std::vector<std::int32_t> x(dims.front());
+      for (int r = 0; r < 16; ++r) {
+        for (std::int32_t& c : x) c = extreme_code(rng, X::kInLo, X::kCodeMax);
+        expect_naive(q, x,
+                     "in " + std::to_string(dims.front()) + " accum " +
+                         std::to_string(accum_bits) + " row " +
+                         std::to_string(r));
+      }
+    }
+  }
+}
+
+TYPED_TEST(IntegerHeads, BatchedHeadsMatchPredictOnAdversarialCodes) {
+  // classify_batch_into runs the shot-lane kernel (split-weight pmaddwd at
+  // int16, one int32 pass at int8); predict runs the per-shot dot chain.
+  // Weight and input codes at the width's bounds put every int32 partial
+  // at its bound, and the batch sizes cover partial vectors and shot
+  // blocks.
+  using Head = IntegerMlp<TypeParam>;
+  using X = Extremes<TypeParam>;
   Rng rng(4242);
-  for (const std::vector<std::size_t>& dims : shapes) {
-    for (int accum_bits : {32, 63}) {
-      const QuantizedMlp q = adversarial_mlp(dims, accum_bits, rng);
+  for (const std::vector<std::size_t>& dims : kAdversarialShapes) {
+    for (int accum_bits : X::kAccumBits) {
+      const Head q = adversarial_head<TypeParam>(dims, accum_bits, rng);
       const std::size_t in_dim = dims.front();
       for (std::size_t batch : {1u, 3u, 64u, 129u}) {
         std::vector<std::int32_t> features(batch * in_dim);
-        for (std::int32_t& c : features) c = extreme_code(rng, -32768, 32767);
+        for (std::int32_t& c : features)
+          c = extreme_code(rng, X::kInLo, X::kCodeMax);
         std::vector<int> labels(batch * 2, -1);
-        std::vector<std::int16_t> act_a, act_b;
-        std::vector<std::int64_t> logits;
+        std::vector<typename Head::Act> act_a, act_b;
+        std::vector<typename Head::Logit> logits;
         q.classify_batch_into(batch, features.data(), act_a, act_b, logits,
                               labels.data(), 2);
         for (std::size_t s = 0; s < batch; ++s) {
@@ -324,18 +394,21 @@ QuantizedFrontend adversarial_frontend(std::size_t n_samples,
   ki.resize(kFilters * n_samples);
   for (std::size_t k = 0; k < kr.size(); ++k) {
     const bool pinned = k < n_samples;
-    kr[k] = pinned ? max_code : extreme_code(rng, -max_code, max_code);
+    kr[k] = pinned ? max_code
+                   : static_cast<std::int16_t>(
+                         extreme_code(rng, -max_code, max_code));
     ki[k] = pinned ? static_cast<std::int16_t>(-max_code)
-                   : extreme_code(rng, -max_code, max_code);
+                   : static_cast<std::int16_t>(
+                         extreme_code(rng, -max_code, max_code));
   }
-  io::write_vec_i16(ss, kr);
-  io::write_vec_i16(ss, ki);
+  io::write_vec_int(ss, kr);
+  io::write_vec_int(ss, ki);
   scale.resize(kFilters);
   for (std::size_t f = 0; f < kFilters; ++f)
     scale[f] = std::ldexp(1.0, -24 - 2 * static_cast<int>(f));
   io::write_vec_f64(ss, scale);
   io::write_vec_f64(ss, std::vector<double>(kFilters, 0.0));
-  io::write_vec_i16(ss, std::vector<std::int16_t>(2 * n_samples, 0));
+  io::write_vec_int(ss, std::vector<std::int16_t>(2 * n_samples, 0));
   return QuantizedFrontend::load(ss);
 }
 
@@ -443,7 +516,8 @@ TEST(QuantizedInference, RejectsTooNarrowAccumulator) {
   const FixedPointFormat in_fmt{16, 11};
   QuantizationConfig cfg;
   cfg.accum_bits = 8;  // Cannot hold in_frac=11 plus any weight fraction.
-  EXPECT_THROW(QuantizedMlp::quantize(mlp, calib, in_fmt, cfg), Error);
+  EXPECT_THROW(IntegerMlp<std::int16_t>::quantize(mlp, calib, in_fmt, cfg),
+               Error);
 }
 
 TEST(QuantizedInference, CalibratedFormatsFeedResourceModel) {

@@ -242,7 +242,8 @@ TEST(Simd, SplitAccumulatorWorstCaseAndPastFlushBound) {
 }
 
 /// Splits weight codes as w = 256 * hi + lo (hi in [-128, 127], lo in
-/// [0, 255]) — the layout QuantizedMlp derives for its batched heads.
+/// [0, 255]) — the layout IntegerMlp<int16_t> derives for its batched
+/// heads.
 void split_weights(const std::vector<std::int16_t>& w,
                    std::vector<std::int16_t>& hi,
                    std::vector<std::int16_t>& lo) {

@@ -166,7 +166,7 @@ TEST(Snapshot, RejectsBadMagicVersionAndTruncation) {
 }
 
 TEST(Snapshot, ComponentStreamsRejectDimensionMismatch) {
-  // A QuantizedMlp whose layer payload disagrees with its dims must not
+  // An integer head whose layer payload disagrees with its dims must not
   // load (the low-level half of the "hard errors on dimension mismatch"
   // guarantee; the cross-component half is covered above).
   const Fixture& fx = Fixture::get();
@@ -177,7 +177,61 @@ TEST(Snapshot, ComponentStreamsRejectDimensionMismatch) {
   // 8-byte layer count; bump it so w.size() != in * out.
   bytes[28] = static_cast<char>(bytes[28] + 1);
   std::stringstream tampered(bytes);
-  EXPECT_THROW(QuantizedMlp::load(tampered), Error);
+  EXPECT_THROW(QuantizedProposedDiscriminator::Head::load(tampered), Error);
+}
+
+/// A 3 -> 2 -> 3 integer head at its preset's default config whose hidden
+/// layer requantizes by shift = in_frac + weight_frac - next_in_frac.
+template <typename Code>
+std::string shift_head_bytes(int in_frac, int weight_frac, int next_in_frac) {
+  constexpr int kBits = IntegerWidth<Code>::kCodeBits;
+  std::stringstream ss;
+  save_quantization_config(ss, IntegerPreset<Code>::default_config());
+  io::write_u64(ss, 2);
+  const auto layer = [&](std::size_t in, std::size_t out, int w_frac,
+                         int i_frac) {
+    io::write_u64(ss, in);
+    io::write_u64(ss, out);
+    save_format(ss, FixedPointFormat{kBits, w_frac});
+    save_format(ss, FixedPointFormat{kBits, i_frac});
+    io::write_vec_int(ss, std::vector<Code>(in * out, 1));
+    io::write_vec_int(ss,
+                      std::vector<typename IntegerMlp<Code>::Logit>(out, 0));
+  };
+  layer(3, 2, weight_frac, in_frac);
+  layer(2, 3, 0, next_in_frac);
+  return ss.str();
+}
+
+TEST(Snapshot, IntegerHeadsRejectUnrepresentableRequantShift) {
+  // load_format accepts each fraction in [-62, 62] on its own, but the
+  // chain <W,-62> x <W,-62> -> <W,62> requantizes by a 186-bit left shift
+  // (undefined behaviour on the first predict). Both presets' heads must
+  // refuse it at load. The rule's edges: shift_round_half_even needs
+  // shift < 63, and a left shift of a saturated accumulator must stay in
+  // int64 (accum_bits - 1 - shift <= 62).
+  const auto check = [](auto code) {
+    using Code = decltype(code);
+    const auto loads = [](int in_frac, int weight_frac, int next_in_frac) {
+      std::stringstream ss(
+          shift_head_bytes<Code>(in_frac, weight_frac, next_in_frac));
+      try {
+        IntegerMlp<Code>::load(ss);
+        return true;
+      } catch (const Error&) {
+        return false;
+      }
+    };
+    const int accum = IntegerPreset<Code>::default_config().accum_bits;
+    EXPECT_FALSE(loads(-62, -62, 62));
+    EXPECT_TRUE(loads(8, 12, 8));
+    EXPECT_TRUE(loads(31, 31, 0));   // shift 62
+    EXPECT_FALSE(loads(32, 31, 0));  // shift 63
+    EXPECT_TRUE(loads(0, 0, 63 - accum));   // left shift at the int64 edge
+    EXPECT_FALSE(loads(0, 0, 64 - accum));  // one bit past it
+  };
+  check(std::int16_t{});
+  check(std::int8_t{});
 }
 
 TEST(Snapshot, SwapShardServesReloadedCalibrationWithoutStopping) {
