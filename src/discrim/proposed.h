@@ -114,7 +114,6 @@ class ProposedDiscriminator {
   std::size_t parameter_count() const;
 
   const Mlp& qubit_model(std::size_t q) const { return models_.at(q); }
-  Mlp& mutable_qubit_model(std::size_t q) { return models_.at(q); }
   const ChipMfBank& mf_bank() const { return bank_; }
   const Demodulator& demodulator() const { return demod_; }
   const FeatureNormalizer& normalizer() const { return normalizer_; }

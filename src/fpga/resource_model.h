@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/mlp.h"
-
 namespace mlqr {
 
 /// FPGA device capacity (Xilinx Zynq UltraScale+ xczu7ev-ffvc1156-2-i —
@@ -95,8 +93,5 @@ struct DesignSpec {
 
 ResourceEstimate estimate_design(const DesignSpec& spec);
 Utilization utilization(const ResourceEstimate& est, const FpgaDevice& dev);
-
-/// Convenience: layer size list of a trained Mlp ({in, h1, ..., out}).
-std::vector<std::size_t> layer_sizes(const Mlp& mlp);
 
 }  // namespace mlqr

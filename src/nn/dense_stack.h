@@ -2,67 +2,33 @@
 // (nn/integer_mlp.h) dense networks.
 //
 // Both MLPs are stacks of layers carrying `in`/`out` dims plus weight and
-// bias payloads; only the arithmetic differs. The dimension bookkeeping —
-// stack sizes, parameter totals, the load-time chain validation that keeps
-// a corrupt snapshot from half-building a network, and the tie-to-lowest
-// argmax rule both forward passes share — lives here once, parameterized on
-// the layer type, instead of twice with drifting error messages.
+// bias payloads; the arithmetic and the storage differ (one float
+// parameter arena, per-layer integer code vectors). The load-time chain
+// validation that keeps a corrupt snapshot from half-building a network,
+// and the tie-to-lowest argmax rule both forward passes share, live here
+// once instead of twice with drifting error messages.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/error.h"
 
 namespace mlqr {
 
-/// A dense layer a stack helper can reason about: `in`/`out` dims plus
-/// weight (`w`, out x in row-major) and bias (`b`, out) containers whose
-/// sizes must match the dims.
-template <typename L>
-concept DenseLayerLike = requires(const L& l) {
-  { l.in } -> std::convertible_to<std::size_t>;
-  { l.out } -> std::convertible_to<std::size_t>;
-  { l.w.size() } -> std::convertible_to<std::size_t>;
-  { l.b.size() } -> std::convertible_to<std::size_t>;
-  { l.parameter_count() } -> std::convertible_to<std::size_t>;
-};
-
-template <DenseLayerLike L>
-std::size_t stack_input_size(const std::vector<L>& layers) {
-  MLQR_CHECK(!layers.empty());
-  return layers.front().in;
-}
-
-template <DenseLayerLike L>
-std::size_t stack_output_size(const std::vector<L>& layers) {
-  MLQR_CHECK(!layers.empty());
-  return layers.back().out;
-}
-
-template <DenseLayerLike L>
-std::size_t stack_parameter_count(const std::vector<L>& layers) {
-  std::size_t n = 0;
-  for (const L& l : layers) n += l.parameter_count();
-  return n;
-}
-
-/// Load-path validation of one just-deserialized layer: nonzero dims, the
-/// chain rule (layer l's input width equals layer l-1's output width), and
-/// payload sizes matching the dims. `what` names the network kind in the
-/// error ("MLP", "integer MLP"). `prev_out` is 0 for the first layer and
-/// the previous layer's `out` after; callers thread it through the loop.
-template <DenseLayerLike L>
-void check_layer_chain(const L& l, std::size_t prev_out, const char* what) {
-  MLQR_CHECK_MSG(l.in > 0 && l.out > 0, "corrupt " << what << " layer header");
-  MLQR_CHECK_MSG(prev_out == 0 || l.in == prev_out,
+/// Load-path validation of one layer header: nonzero dims and the chain
+/// rule (layer l's input width equals layer l-1's output width). `what`
+/// names the network kind in the error ("MLP", "integer MLP"). `prev_out`
+/// is 0 for the first layer and the previous layer's `out` after; callers
+/// thread it through the loop. Runs before any payload is read, so a
+/// corrupt header never sizes an allocation.
+inline void check_layer_dims(std::size_t in, std::size_t out,
+                             std::size_t prev_out, const char* what) {
+  MLQR_CHECK_MSG(in > 0 && out > 0, "corrupt " << what << " layer header");
+  MLQR_CHECK_MSG(prev_out == 0 || in == prev_out,
                  what << " layer chain mismatch: input "
-                      << l.in << " after a layer with " << prev_out
+                      << in << " after a layer with " << prev_out
                       << " outputs");
-  MLQR_CHECK_MSG(l.w.size() == l.in * l.out && l.b.size() == l.out,
-                 what << " layer payload does not match its dims");
 }
 
 /// argmax with ties broken to the lowest index — the classification rule

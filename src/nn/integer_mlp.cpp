@@ -117,7 +117,9 @@ void check_config(const QuantizationConfig& cfg) {
 template <typename Code>
 void check_layer(const IntegerDenseLayer<Code>& l, std::size_t prev_out) {
   using Width = IntegerWidth<Code>;
-  check_layer_chain(l, prev_out, "integer MLP");
+  check_layer_dims(l.in, l.out, prev_out, "integer MLP");
+  MLQR_CHECK_MSG(l.w.size() == l.in * l.out && l.b.size() == l.out,
+                 "integer MLP layer payload does not match its dims");
   MLQR_CHECK_MSG(l.in <= Width::kMaxLayerWidth,
                  "integer MLP layer width " << l.in << " exceeds the exact "
                      "accumulation bound (" << Width::kMaxLayerWidth << ")");
@@ -138,8 +140,8 @@ IntegerMlp<Code> IntegerMlp<Code>::quantize(
     const Mlp& mlp, std::span<const float> calib_features,
     const FixedPointFormat& input_fmt, const QuantizationConfig& cfg) {
   check_config<Code>(cfg);
-  const std::vector<DenseLayer>& fl = mlp.layers();
-  MLQR_CHECK(!fl.empty());
+  const std::size_t n_layers = mlp.num_layers();
+  MLQR_CHECK(n_layers > 0);
   const std::size_t in_dim = mlp.input_size();
   MLQR_CHECK(!calib_features.empty() && calib_features.size() % in_dim == 0);
   const std::size_t n_rows = calib_features.size() / in_dim;
@@ -147,14 +149,14 @@ IntegerMlp<Code> IntegerMlp<Code>::quantize(
   // Range calibration: float forward over the calibration rows, tracking
   // the largest |activation| entering each layer and the largest
   // |pre-activation| its accumulator must hold.
-  std::vector<double> act_in_max(fl.size(), 0.0);
-  std::vector<double> pre_max(fl.size(), 0.0);
+  std::vector<double> act_in_max(n_layers, 0.0);
+  std::vector<double> pre_max(n_layers, 0.0);
   std::vector<double> cur, next;
   for (std::size_t r = 0; r < n_rows; ++r) {
     const float* row = calib_features.data() + r * in_dim;
     cur.assign(row, row + in_dim);
-    for (std::size_t l = 0; l < fl.size(); ++l) {
-      const DenseLayer& layer = fl[l];
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      const DenseLayer layer = mlp.layer(l);
       for (double v : cur)
         act_in_max[l] = std::max(act_in_max[l], std::abs(v));
       next.assign(layer.out, 0.0);
@@ -164,7 +166,7 @@ IntegerMlp<Code> IntegerMlp<Code>::quantize(
         for (std::size_t i = 0; i < layer.in; ++i)
           acc += static_cast<double>(w[i]) * cur[i];
         pre_max[l] = std::max(pre_max[l], std::abs(acc));
-        next[j] = l + 1 < fl.size() ? std::max(acc, 0.0) : acc;
+        next[j] = l + 1 < n_layers ? std::max(acc, 0.0) : acc;
       }
       cur.swap(next);
     }
@@ -172,9 +174,9 @@ IntegerMlp<Code> IntegerMlp<Code>::quantize(
 
   IntegerMlp q;
   q.cfg_ = cfg;
-  q.layers_.reserve(fl.size());
-  for (std::size_t l = 0; l < fl.size(); ++l) {
-    const DenseLayer& layer = fl[l];
+  q.layers_.reserve(n_layers);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const DenseLayer layer = mlp.layer(l);
     Layer ql;
     ql.in = layer.in;
     ql.out = layer.out;

@@ -120,11 +120,19 @@ class IntegerMlp {
                              const FixedPointFormat& input_fmt,
                              const QuantizationConfig& cfg);
 
-  std::size_t input_size() const { return stack_input_size(layers_); }
-  std::size_t output_size() const { return stack_output_size(layers_); }
+  std::size_t input_size() const {
+    MLQR_CHECK(!layers_.empty());
+    return layers_.front().in;
+  }
+  std::size_t output_size() const {
+    MLQR_CHECK(!layers_.empty());
+    return layers_.back().out;
+  }
   std::size_t num_layers() const { return layers_.size(); }
   std::size_t parameter_count() const {
-    return stack_parameter_count(layers_);
+    std::size_t n = 0;
+    for (const Layer& l : layers_) n += l.parameter_count();
+    return n;
   }
   const std::vector<Layer>& layers() const { return layers_; }
 

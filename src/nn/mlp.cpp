@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/error.h"
 #include "common/serialize.h"
@@ -13,35 +14,31 @@
 
 namespace mlqr {
 
-Mlp::Mlp(std::vector<std::size_t> layer_sizes) {
-  MLQR_CHECK_MSG(layer_sizes.size() >= 2, "MLP needs at least input+output");
-  for (std::size_t s : layer_sizes) MLQR_CHECK(s > 0);
-  layers_.reserve(layer_sizes.size() - 1);
-  for (std::size_t l = 0; l + 1 < layer_sizes.size(); ++l) {
-    DenseLayer layer;
-    layer.in = layer_sizes[l];
-    layer.out = layer_sizes[l + 1];
-    layer.w.assign(layer.in * layer.out, 0.0f);
-    layer.b.assign(layer.out, 0.0f);
-    layers_.push_back(std::move(layer));
-  }
+Mlp::Mlp(std::vector<std::size_t> layer_sizes)
+    : sizes_(std::move(layer_sizes)) {
+  MLQR_CHECK_MSG(sizes_.size() >= 2, "MLP needs at least input+output");
+  for (std::size_t s : sizes_) MLQR_CHECK(s > 0);
+  params_.assign(arena_size(sizes_), 0.0f);
 }
 
 void Mlp::init_weights(Rng& rng) {
-  for (DenseLayer& layer : layers_) {
-    const double stddev = std::sqrt(2.0 / static_cast<double>(layer.in));
-    for (float& w : layer.w)
+  for (std::size_t l = 0; l < num_layers(); ++l) {
+    const DenseLayerView<float> dense = layer(l, params());
+    const double stddev = std::sqrt(2.0 / static_cast<double>(dense.in));
+    for (float& w : dense.w)
       w = static_cast<float>(rng.normal(0.0, stddev));
-    std::fill(layer.b.begin(), layer.b.end(), 0.0f);
+    std::fill(dense.b.begin(), dense.b.end(), 0.0f);
   }
 }
 
-std::size_t Mlp::input_size() const { return stack_input_size(layers_); }
+std::size_t Mlp::input_size() const {
+  MLQR_CHECK(!sizes_.empty());
+  return sizes_.front();
+}
 
-std::size_t Mlp::output_size() const { return stack_output_size(layers_); }
-
-std::size_t Mlp::parameter_count() const {
-  return stack_parameter_count(layers_);
+std::size_t Mlp::output_size() const {
+  MLQR_CHECK(!sizes_.empty());
+  return sizes_.back();
 }
 
 std::vector<float> Mlp::logits(std::span<const float> x) const {
@@ -60,12 +57,12 @@ void Mlp::logits_into(std::span<const float> x, std::vector<float>& out,
   scratch.assign(x.begin(), x.end());
   std::vector<float>* cur = &scratch;
   std::vector<float>* next = &out;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const DenseLayer& layer = layers_[l];
-    next->assign(layer.out, 0.0f);
-    sgemv(layer.out, layer.in, layer.w.data(), layer.in, cur->data(),
-          layer.b.data(), next->data());
-    if (l + 1 < layers_.size())
+  for (std::size_t l = 0; l < num_layers(); ++l) {
+    const DenseLayer dense = layer(l);
+    next->assign(dense.out, 0.0f);
+    sgemv(dense.out, dense.in, dense.w.data(), dense.in, cur->data(),
+          dense.b.data(), next->data());
+    if (l + 1 < num_layers())
       for (float& v : *next) v = std::max(v, 0.0f);
     std::swap(cur, next);
   }
@@ -99,34 +96,6 @@ int Mlp::predict_scored_reusing(std::span<const float> x,
   return label;
 }
 
-std::vector<float> Mlp::forward_batch(std::span<const float> x,
-                                      std::size_t batch) const {
-  MLQR_CHECK(batch > 0 && x.size() == batch * input_size());
-  std::vector<float> act(x.begin(), x.end());
-  std::size_t act_dim = input_size();
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const DenseLayer& layer = layers_[l];
-    std::vector<float> z(batch * layer.out);
-    // Z = A * W^T.
-    sgemm(false, true, batch, layer.out, layer.in, 1.0f, act.data(), act_dim,
-          layer.w.data(), layer.in, 0.0f, z.data(), layer.out);
-    // One vectorized pass per row folds the bias broadcast and the ReLU
-    // together (simd::add_bias_relu_f32) instead of the old scalar double
-    // loop plus a second sweep.
-    const bool last = l + 1 == layers_.size();
-    for (std::size_t r = 0; r < batch; ++r) {
-      float* zrow = z.data() + r * layer.out;
-      if (last)
-        simd::add_bias_f32(zrow, layer.b.data(), layer.out);
-      else
-        simd::add_bias_relu_f32(zrow, layer.b.data(), layer.out);
-    }
-    act = std::move(z);
-    act_dim = layer.out;
-  }
-  return act;
-}
-
 void Mlp::classify_batch_into(std::size_t batch, const float* features,
                               std::vector<float>& act_a,
                               std::vector<float>& act_b, int* labels,
@@ -136,25 +105,25 @@ void Mlp::classify_batch_into(std::size_t batch, const float* features,
   std::size_t cur_dim = input_size();
   std::vector<float>* next = &act_a;
   std::vector<float>* other = &act_b;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const DenseLayer& layer = layers_[l];
-    next->resize(batch * layer.out);
+  for (std::size_t l = 0; l < num_layers(); ++l) {
+    const DenseLayer dense = layer(l);
+    next->resize(batch * dense.out);
     // Z = A * W^T, one GEMM for the whole micro-batch: the weight matrix
     // streams through cache once per batch instead of once per shot.
     // Serial on purpose — this runs inside EngineCore worker slots, and
     // sgemm's own parallel_for would re-enter the shared pool.
-    sgemm_serial(false, true, batch, layer.out, layer.in, 1.0f, cur, cur_dim,
-                 layer.w.data(), layer.in, 0.0f, next->data(), layer.out);
-    const bool last = l + 1 == layers_.size();
+    sgemm_serial(false, true, batch, dense.out, dense.in, 1.0f, cur, cur_dim,
+                 dense.w.data(), dense.in, 0.0f, next->data(), dense.out);
+    const bool last = l + 1 == num_layers();
     for (std::size_t r = 0; r < batch; ++r) {
-      float* zrow = next->data() + r * layer.out;
+      float* zrow = next->data() + r * dense.out;
       if (last)
-        simd::add_bias_f32(zrow, layer.b.data(), layer.out);
+        simd::add_bias_f32(zrow, dense.b.data(), dense.out);
       else
-        simd::add_bias_relu_f32(zrow, layer.b.data(), layer.out);
+        simd::add_bias_relu_f32(zrow, dense.b.data(), dense.out);
     }
     cur = next->data();
-    cur_dim = layer.out;
+    cur_dim = dense.out;
     std::swap(next, other);
   }
   const std::size_t out_dim = output_size();
@@ -163,64 +132,51 @@ void Mlp::classify_batch_into(std::size_t batch, const float* features,
         argmax_tie_low(std::span<const float>(cur + r * out_dim, out_dim));
 }
 
-void Mlp::quantize(const FixedPointFormat& fmt) {
-  for (DenseLayer& l : layers_) {
-    quantize_in_place(l.w, fmt);
-    quantize_in_place(l.b, fmt);
-  }
-}
-
-float Mlp::max_abs_weight() const {
-  float worst = 0.0f;
-  for (const DenseLayer& l : layers_) {
-    for (float w : l.w) worst = std::max(worst, std::abs(w));
-    for (float b : l.b) worst = std::max(worst, std::abs(b));
-  }
-  return worst;
-}
-
 void Mlp::save(std::ostream& os) const {
   // Explicit little-endian layout (common/serialize.h): layer count, then
   // per layer the dims and the exact f32 bit patterns of weights/biases —
   // a reloaded network is bit-identical on every host.
-  io::write_u64(os, layers_.size());
-  for (const DenseLayer& l : layers_) {
-    io::write_u64(os, l.in);
-    io::write_u64(os, l.out);
-    io::write_vec_f32(os, l.w);
-    io::write_vec_f32(os, l.b);
+  io::write_u64(os, num_layers());
+  for (std::size_t l = 0; l < num_layers(); ++l) {
+    const DenseLayer dense = layer(l);
+    io::write_u64(os, dense.in);
+    io::write_u64(os, dense.out);
+    io::write_vec_f32(os, dense.w);
+    io::write_vec_f32(os, dense.b);
   }
   MLQR_CHECK_MSG(os.good(), "MLP serialization failed");
 }
+
+namespace {
+
+/// Appends one count-prefixed f32 run to `arena`. The count must equal the
+/// `n` the layer dims imply and fit the stream's remaining bytes before
+/// the arena grows.
+void read_run(std::istream& is, std::size_t n, std::vector<float>& arena) {
+  const std::size_t count =
+      io::read_count(is, io::kMaxSerializedCount, sizeof(float));
+  MLQR_CHECK_MSG(count == n, "MLP layer payload does not match its dims");
+  const std::size_t at = arena.size();
+  arena.resize(at + n);
+  for (std::size_t i = 0; i < n; ++i) arena[at + i] = io::read_f32(is);
+}
+
+}  // namespace
 
 Mlp Mlp::load(std::istream& is) {
   const std::size_t n_layers = io::read_count(is, 64);
   MLQR_CHECK_MSG(n_layers > 0, "corrupt MLP stream: zero layers");
   Mlp mlp;
-  mlp.layers_.resize(n_layers);
-  std::size_t prev_out = 0;
-  for (DenseLayer& l : mlp.layers_) {
-    l.in = io::read_count(is);
-    l.out = io::read_count(is);
-    l.w = io::read_vec_f32(is);
-    l.b = io::read_vec_f32(is);
-    check_layer_chain(l, prev_out, "MLP");
-    prev_out = l.out;
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const std::size_t in = io::read_count(is);
+    const std::size_t out = io::read_count(is);
+    check_layer_dims(in, out, l == 0 ? 0 : mlp.sizes_.back(), "MLP");
+    if (l == 0) mlp.sizes_.push_back(in);
+    mlp.sizes_.push_back(out);
+    read_run(is, in * out, mlp.params_);
+    read_run(is, out, mlp.params_);
   }
   return mlp;
-}
-
-std::vector<float> softmax(std::span<const float> logits) {
-  MLQR_CHECK(!logits.empty());
-  const float peak = *std::max_element(logits.begin(), logits.end());
-  std::vector<float> p(logits.size());
-  float total = 0.0f;
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    p[i] = std::exp(logits[i] - peak);
-    total += p[i];
-  }
-  for (float& v : p) v /= total;
-  return p;
 }
 
 }  // namespace mlqr

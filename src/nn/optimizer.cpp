@@ -10,116 +10,68 @@
 
 namespace mlqr {
 
-void GradientBuffers::match(const Mlp& model) {
-  const auto& layers = model.layers();
-  dw.resize(layers.size());
-  db.resize(layers.size());
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    dw[l].resize(layers[l].w.size());
-    db[l].resize(layers[l].b.size());
-  }
+void AdamWOptimizer::reset(const Mlp& model) {
+  step_ = 0;
+  sizes_ = model.layer_sizes();
+  m_.assign(model.parameter_count(), 0.0f);
+  v_.assign(model.parameter_count(), 0.0f);
 }
 
-void GradientBuffers::add(const GradientBuffers& other) {
-  MLQR_CHECK(dw.size() == other.dw.size() && db.size() == other.db.size());
-  for (std::size_t l = 0; l < dw.size(); ++l) {
-    MLQR_CHECK(dw[l].size() == other.dw[l].size() &&
-               db[l].size() == other.db[l].size());
-    for (std::size_t i = 0; i < dw[l].size(); ++i) dw[l][i] += other.dw[l][i];
-    for (std::size_t i = 0; i < db[l].size(); ++i) db[l][i] += other.db[l][i];
-  }
+bool AdamWOptimizer::matches(const Mlp& model) const {
+  return sizes_ == model.layer_sizes();
 }
 
-namespace {
-
-void adamw_update(std::span<float> param, std::span<const float> grad,
-                  std::vector<float>& m, std::vector<float>& v,
-                  const AdamWParams& p, float bias1, float bias2) {
+void AdamWOptimizer::step(Mlp& model, std::span<const float> grad,
+                          const AdamWParams& p) {
+  MLQR_CHECK_MSG(matches(model), "optimizer state does not match the model");
+  const std::span<float> param = model.params();
+  MLQR_CHECK(grad.size() == param.size() && m_.size() == param.size());
+  ++step_;
+  const float bias1 = 1.0f - std::pow(p.beta1, static_cast<float>(step_));
+  const float bias2 = 1.0f - std::pow(p.beta2, static_cast<float>(step_));
   // AdamW: decoupled weight decay — the decay acts directly on the weights
   // instead of through the adaptive gradient normalization, so its
   // strength is predictable regardless of gradient scale.
   const float decay = p.learning_rate * p.weight_decay;
   for (std::size_t i = 0; i < param.size(); ++i) {
     const float g = grad[i];
-    m[i] = p.beta1 * m[i] + (1.0f - p.beta1) * g;
-    v[i] = p.beta2 * v[i] + (1.0f - p.beta2) * g * g;
-    const float mhat = m[i] / bias1;
-    const float vhat = v[i] / bias2;
+    m_[i] = p.beta1 * m_[i] + (1.0f - p.beta1) * g;
+    v_[i] = p.beta2 * v_[i] + (1.0f - p.beta2) * g * g;
+    const float mhat = m_[i] / bias1;
+    const float vhat = v_[i] / bias2;
     param[i] -=
         p.learning_rate * mhat / (std::sqrt(vhat) + p.eps) + decay * param[i];
   }
 }
 
-}  // namespace
-
-void AdamWOptimizer::reset(const Mlp& model) {
-  step_ = 0;
-  mw_.clear();
-  vw_.clear();
-  mb_.clear();
-  vb_.clear();
-  for (const DenseLayer& l : model.layers()) {
-    mw_.emplace_back(l.w.size(), 0.0f);
-    vw_.emplace_back(l.w.size(), 0.0f);
-    mb_.emplace_back(l.b.size(), 0.0f);
-    vb_.emplace_back(l.b.size(), 0.0f);
-  }
-}
-
-bool AdamWOptimizer::matches(const Mlp& model) const {
-  const auto& layers = model.layers();
-  if (mw_.size() != layers.size()) return false;
-  for (std::size_t l = 0; l < layers.size(); ++l)
-    if (mw_[l].size() != layers[l].w.size() ||
-        mb_[l].size() != layers[l].b.size())
-      return false;
-  return true;
-}
-
-void AdamWOptimizer::step(Mlp& model, const GradientBuffers& grads,
-                          const AdamWParams& p) {
-  MLQR_CHECK_MSG(matches(model), "optimizer state does not match the model");
-  MLQR_CHECK(grads.dw.size() == mw_.size());
-  ++step_;
-  const float bias1 = 1.0f - std::pow(p.beta1, static_cast<float>(step_));
-  const float bias2 = 1.0f - std::pow(p.beta2, static_cast<float>(step_));
-  auto& layers = model.mutable_layers();
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    adamw_update(layers[l].w, grads.dw[l], mw_[l], vw_[l], p, bias1, bias2);
-    adamw_update(layers[l].b, grads.db[l], mb_[l], vb_[l], p, bias1, bias2);
-  }
-}
-
 void AdamWOptimizer::save(std::ostream& os) const {
   io::write_u64(os, static_cast<std::uint64_t>(step_));
-  io::write_u64(os, mw_.size());
-  for (std::size_t l = 0; l < mw_.size(); ++l) {
-    io::write_u64(os, mw_[l].size());
-    io::write_u64(os, mb_[l].size());
-    for (float x : mw_[l]) io::write_f32(os, x);
-    for (float x : vw_[l]) io::write_f32(os, x);
-    for (float x : mb_[l]) io::write_f32(os, x);
-    for (float x : vb_[l]) io::write_f32(os, x);
-  }
+  io::write_u64(os, sizes_.size());
+  for (std::size_t s : sizes_) io::write_u64(os, s);
+  io::write_vec_f32(os, m_);
+  io::write_vec_f32(os, v_);
 }
 
 AdamWOptimizer AdamWOptimizer::load(std::istream& is) {
   AdamWOptimizer opt;
   opt.step_ = static_cast<long>(io::read_u64(is));
   MLQR_CHECK_MSG(opt.step_ >= 0, "corrupt optimizer state: negative step");
-  const std::size_t n_layers = io::read_count(is, 4096);
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    const std::size_t nw = io::read_count(is);
-    const std::size_t nb = io::read_count(is);
-    opt.mw_.emplace_back(nw);
-    opt.vw_.emplace_back(nw);
-    opt.mb_.emplace_back(nb);
-    opt.vb_.emplace_back(nb);
-    for (float& x : opt.mw_.back()) x = io::read_f32(is);
-    for (float& x : opt.vw_.back()) x = io::read_f32(is);
-    for (float& x : opt.mb_.back()) x = io::read_f32(is);
-    for (float& x : opt.vb_.back()) x = io::read_f32(is);
+  // Up to 64 layers (Mlp::load's cap) plus the input width; an empty list
+  // is a never-initialized optimizer.
+  const std::size_t n_sizes = io::read_count(is, 65, sizeof(std::uint64_t));
+  MLQR_CHECK_MSG(n_sizes != 1, "corrupt optimizer state: one layer size");
+  for (std::size_t l = 0; l < n_sizes; ++l) {
+    opt.sizes_.push_back(io::read_count(is));
+    MLQR_CHECK_MSG(opt.sizes_.back() > 0,
+                   "corrupt optimizer state: zero layer size");
   }
+  // Sizes are <= 2^28 and at most 65, so this cannot overflow.
+  const std::size_t n_params = Mlp::arena_size(opt.sizes_);
+  opt.m_ = io::read_vec_f32(is);
+  opt.v_ = io::read_vec_f32(is);
+  MLQR_CHECK_MSG(opt.m_.size() == n_params && opt.v_.size() == n_params,
+                 "corrupt optimizer state: moments do not match the layer "
+                 "sizes");
   return opt;
 }
 

@@ -39,23 +39,24 @@ struct ShardResult {
 };
 
 /// Forward + backward over rows [r0, r0+rows) of the gathered minibatch.
-/// Writes this shard's gradient partials into `grads` (overwritten, not
-/// accumulated) and returns its loss/weight contribution.
+/// Writes this shard's gradient partials into `grad`, laid out like
+/// model.params() (overwritten, not accumulated), and returns its
+/// loss/weight contribution.
 ShardResult run_gradient_shard(const Mlp& model, const float* bx,
                                const int* by, const float* sample_w,
                                float batch_w, std::size_t r0, std::size_t rows,
-                               ShardScratch& ss, GradientBuffers& grads) {
-  const auto& layers = model.layers();
+                               ShardScratch& ss, std::span<float> grad) {
+  const std::size_t n_layers = model.num_layers();
   const std::size_t in_dim = model.input_size();
   const std::size_t out_dim = model.output_size();
-  ss.zs.resize(layers.size());
-  ss.acts.resize(layers.size());
+  ss.zs.resize(n_layers);
+  ss.acts.resize(n_layers);
 
   // ---- Forward pass, caching pre- and post-activations per layer. ----
   const float* prev = bx + r0 * in_dim;
   std::size_t prev_dim = in_dim;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const DenseLayer& layer = layers[l];
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const DenseLayer layer = model.layer(l);
     std::vector<float>& z = ss.zs[l];
     z.assign(rows * layer.out, 0.0f);
     sgemm(false, true, rows, layer.out, layer.in, 1.0f, prev, prev_dim,
@@ -65,7 +66,7 @@ ShardResult run_gradient_shard(const Mlp& model, const float* bx,
         z[r * layer.out + c] += layer.b[c];
     std::vector<float>& a = ss.acts[l];
     a = z;
-    if (l + 1 < layers.size())
+    if (l + 1 < n_layers)
       for (float& v : a) v = std::max(v, 0.0f);
     prev = a.data();
     prev_dim = layer.out;
@@ -94,20 +95,20 @@ ShardResult run_gradient_shard(const Mlp& model, const float* bx,
   }
 
   // ---- Backward pass: gradient partials only, no parameter updates. ----
-  for (std::size_t li = layers.size(); li > 0; --li) {
+  for (std::size_t li = n_layers; li > 0; --li) {
     const std::size_t l = li - 1;
-    const DenseLayer& layer = layers[l];
+    const DenseLayer layer = model.layer(l);
+    const DenseLayerView<float> g = model.layer(l, grad);
     const float* a_prev = l == 0 ? bx + r0 * in_dim : ss.acts[l - 1].data();
     const std::size_t a_dim = layer.in;
 
     // dW partial = delta^T * A_prev  (out x in).
     sgemm(true, false, layer.out, a_dim, rows, 1.0f, ss.delta.data(),
-          layer.out, a_prev, a_dim, 0.0f, grads.dw[l].data(), a_dim);
-    std::vector<float>& db = grads.db[l];
-    std::fill(db.begin(), db.end(), 0.0f);
+          layer.out, a_prev, a_dim, 0.0f, g.w.data(), a_dim);
+    std::fill(g.b.begin(), g.b.end(), 0.0f);
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < layer.out; ++c)
-        db[c] += ss.delta[r * layer.out + c];
+        g.b[c] += ss.delta[r * layer.out + c];
 
     if (l > 0) {
       // dA_prev = delta * W (rows x in), then ReLU mask via z of layer l-1.
@@ -265,7 +266,7 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
   }
 
   TrainHistory history;
-  std::vector<DenseLayer> best_weights;
+  std::vector<float> best_params;  // Empty until a validation epoch runs.
   double best_val = -1.0;
 
   std::vector<std::size_t> train_idx(order.begin(), order.begin() + n_train);
@@ -273,18 +274,19 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
   const std::size_t max_shards = (batch + kGradShardRows - 1) / kGradShardRows;
   const std::size_t workers = resolve_workers(cfg.threads);
 
-  // Reusable buffers: the gathered minibatch, one gradient buffer per
-  // shard (filled in parallel, reduced in shard order), per-worker
-  // forward/backward scratch, and the reduced total.
+  // Reusable buffers: the gathered minibatch, one flat gradient per shard
+  // (shard si at si * n_params; filled in parallel, reduced in shard order
+  // into shard 0's), and per-worker forward/backward scratch.
+  const std::size_t n_params = model.parameter_count();
   std::vector<float> bx(batch * in_dim);
   std::vector<int> by(batch);
   std::vector<float> sample_w(batch);
-  std::vector<GradientBuffers> shard_grads(max_shards);
-  for (GradientBuffers& g : shard_grads) g.match(model);
+  std::vector<float> shard_grads(max_shards * n_params);
   std::vector<ShardResult> shard_res(max_shards);
   std::vector<ShardScratch> scratch(workers);
-  GradientBuffers total;
-  total.match(model);
+  const auto shard_grad = [&](std::size_t si) {
+    return std::span<float>(shard_grads).subspan(si * n_params, n_params);
+  };
 
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
     // Shuffle training order each epoch.
@@ -321,22 +323,17 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
               const std::size_t rows = std::min(kGradShardRows, b - r0);
               shard_res[si] = run_gradient_shard(
                   model, bx.data(), by.data(), sample_w.data(), batch_w, r0,
-                  rows, scratch[slot], shard_grads[si]);
+                  rows, scratch[slot], shard_grad(si));
             }
           });
 
       // Fixed shard-order reduction, then one AdamW step on the total.
+      const std::span<float> total = shard_grad(0);
+      for (std::size_t si = 1; si < n_shards; ++si) {
+        const std::span<const float> g = shard_grad(si);
+        for (std::size_t i = 0; i < n_params; ++i) total[i] += g[i];
+      }
       for (std::size_t si = 0; si < n_shards; ++si) {
-        if (si == 0) {
-          for (std::size_t l = 0; l < total.dw.size(); ++l) {
-            std::copy(shard_grads[0].dw[l].begin(), shard_grads[0].dw[l].end(),
-                      total.dw[l].begin());
-            std::copy(shard_grads[0].db[l].begin(), shard_grads[0].db[l].end(),
-                      total.db[l].begin());
-          }
-        } else {
-          total.add(shard_grads[si]);
-        }
         epoch_loss += shard_res[si].loss;
         epoch_weight += shard_res[si].weight;
       }
@@ -354,7 +351,7 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
       history.val_accuracy.push_back(acc);
       if (acc > best_val) {
         best_val = acc;
-        best_weights = model.layers();
+        best_params.assign(model.params().begin(), model.params().end());
         history.best_epoch = epoch;
       }
       if (cfg.verbose)
@@ -366,7 +363,8 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
     }
   }
 
-  if (!best_weights.empty()) model.mutable_layers() = std::move(best_weights);
+  if (!best_params.empty())
+    std::copy(best_params.begin(), best_params.end(), model.params().begin());
   return history;
 }
 

@@ -38,16 +38,6 @@ TEST(FixedPoint, MaxErrorBoundedByHalfStep) {
   EXPECT_LE(max_quantization_error(xs, fmt), 0.5 * fmt.resolution() + 1e-12);
 }
 
-TEST(FixedPoint, QuantizeInPlace) {
-  const FixedPointFormat fmt{6, 2};
-  std::vector<float> xs{0.13f, -0.61f, 5.0f};
-  quantize_in_place(xs, fmt);
-  for (float x : xs) {
-    const double steps = x / fmt.resolution();
-    EXPECT_NEAR(steps, std::round(steps), 1e-6);
-  }
-}
-
 TEST(FixedPoint, FitFormatHoldsRange) {
   const FixedPointFormat fmt = fit_format(-2.5, 3.7, 16);
   EXPECT_GE(fmt.max_value(), 3.7);

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/error.h"
+#include "common/serialize.h"
 
 namespace mlqr {
 namespace {
@@ -31,11 +35,13 @@ TEST(Mlp, PaperTopologiesMatchClaimedSizes) {
 
 TEST(Mlp, ForwardMatchesManualComputation) {
   Mlp m({2, 2, 2});
-  auto& layers = m.mutable_layers();
-  layers[0].w = {1.0f, 0.0f, 0.0f, 1.0f};  // Identity.
-  layers[0].b = {0.0f, -1.0f};
-  layers[1].w = {1.0f, 2.0f, 3.0f, 4.0f};
-  layers[1].b = {0.5f, -0.5f};
+  // Arena order: layer 0 W (identity), b; layer 1 W, b.
+  const std::vector<float> params{1.0f, 0.0f, 0.0f, 1.0f, 0.0f, -1.0f,
+                                  1.0f, 2.0f, 3.0f, 4.0f, 0.5f, -0.5f};
+  ASSERT_EQ(m.parameter_count(), params.size());
+  std::copy(params.begin(), params.end(), m.params().begin());
+  EXPECT_EQ(m.layer(1).w[2], 3.0f);
+  EXPECT_EQ(m.layer(1).b[0], 0.5f);
 
   const std::vector<float> x{2.0f, 0.5f};
   // Layer0: (2, -0.5) -> ReLU -> (2, 0).
@@ -46,30 +52,12 @@ TEST(Mlp, ForwardMatchesManualComputation) {
   EXPECT_EQ(m.predict(x), 1);
 }
 
-TEST(Mlp, BatchForwardMatchesSingle) {
-  Mlp m({4, 6, 3});
-  Rng rng(71);
-  m.init_weights(rng);
-  std::vector<float> batch;
-  std::vector<std::vector<float>> singles;
-  for (int s = 0; s < 5; ++s) {
-    std::vector<float> x(4);
-    for (auto& v : x) v = static_cast<float>(rng.normal());
-    batch.insert(batch.end(), x.begin(), x.end());
-    singles.push_back(m.logits(x));
-  }
-  const std::vector<float> out = m.forward_batch(batch, 5);
-  for (int s = 0; s < 5; ++s)
-    for (int c = 0; c < 3; ++c)
-      EXPECT_NEAR(out[s * 3 + c], singles[s][c], 1e-4);
-}
-
 TEST(Mlp, InitWeightsDeterministic) {
   Mlp a({8, 4, 2}), b({8, 4, 2});
   Rng ra(5), rb(5);
   a.init_weights(ra);
   b.init_weights(rb);
-  EXPECT_EQ(a.layers()[0].w, b.layers()[0].w);
+  EXPECT_TRUE(std::ranges::equal(a.params(), b.params()));
 }
 
 TEST(Mlp, SaveLoadRoundTrip) {
@@ -82,35 +70,6 @@ TEST(Mlp, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.parameter_count(), m.parameter_count());
   std::vector<float> x(10, 0.3f);
   EXPECT_EQ(loaded.logits(x), m.logits(x));
-}
-
-TEST(Mlp, QuantizeBoundsOutputChange) {
-  Mlp m({16, 8, 3});
-  Rng rng(79);
-  m.init_weights(rng);
-  Mlp q = m;
-  const float bound = q.max_abs_weight();
-  q.quantize(fit_format(-bound, bound, 12));
-
-  std::vector<float> x(16);
-  for (auto& v : x) v = static_cast<float>(rng.normal());
-  const auto z0 = m.logits(x);
-  const auto z1 = q.logits(x);
-  for (std::size_t c = 0; c < z0.size(); ++c)
-    EXPECT_NEAR(z0[c], z1[c], 0.1f);
-}
-
-TEST(Mlp, SoftmaxIsNormalizedAndStable) {
-  const std::vector<float> logits{1000.0f, 1001.0f, 999.0f};
-  const std::vector<float> p = softmax(logits);
-  float total = 0.0f;
-  for (float v : p) {
-    EXPECT_TRUE(std::isfinite(v));
-    total += v;
-  }
-  EXPECT_NEAR(total, 1.0f, 1e-5);
-  EXPECT_GT(p[1], p[0]);
-  EXPECT_GT(p[0], p[2]);
 }
 
 TEST(Mlp, InvalidConstructionThrows) {
@@ -128,6 +87,57 @@ TEST(Mlp, CorruptStreamThrows) {
   std::stringstream ss;
   ss << "garbage";
   EXPECT_THROW(Mlp::load(ss), Error);
+}
+
+// Load validates every header against the dims and the bytes actually
+// present before the parameter arena grows: a hostile count fails with
+// Error instead of sizing a huge allocation, and so does every truncation.
+TEST(Mlp, LoadRejectsHostileHeadersAndTruncations) {
+  auto header = [](std::uint64_t in, std::uint64_t out, std::uint64_t count) {
+    std::stringstream ss;
+    io::write_u64(ss, 1);  // One layer.
+    io::write_u64(ss, in);
+    io::write_u64(ss, out);
+    io::write_u64(ss, count);  // W count; no payload follows.
+    return ss;
+  };
+  std::stringstream huge = header(1u << 14, 1u << 14, 1u << 28);
+  EXPECT_THROW(Mlp::load(huge), Error);
+  std::stringstream zero_dim = header(0, 2, 0);
+  EXPECT_THROW(Mlp::load(zero_dim), Error);
+  // A 3 -> 2 layer whose W run holds 5 values (payload present).
+  std::stringstream wrong_count;
+  io::write_u64(wrong_count, 1);
+  io::write_u64(wrong_count, 3);
+  io::write_u64(wrong_count, 2);
+  io::write_vec_f32(wrong_count, std::vector<float>(5));
+  io::write_vec_f32(wrong_count, std::vector<float>(2));
+  EXPECT_THROW(Mlp::load(wrong_count), Error);
+
+  Mlp m({3, 4, 2});
+  Rng rng(5);
+  m.init_weights(rng);
+  std::ostringstream os;
+  m.save(os);
+  const std::string bytes = os.str();
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    std::istringstream is(bytes.substr(0, n));
+    EXPECT_THROW(Mlp::load(is), Error) << "truncated to " << n;
+  }
+  std::istringstream whole(bytes);
+  EXPECT_TRUE(std::ranges::equal(Mlp::load(whole).params(), m.params()));
+
+  // Chain rule: a second layer whose input is not the first one's output.
+  std::ostringstream chain;
+  io::write_u64(chain, 2);
+  for (const auto& [in, out] : {std::pair<int, int>{3, 4}, {5, 2}}) {
+    io::write_u64(chain, in);
+    io::write_u64(chain, out);
+    io::write_vec_f32(chain, std::vector<float>(in * out));
+    io::write_vec_f32(chain, std::vector<float>(out));
+  }
+  std::istringstream chain_is(chain.str());
+  EXPECT_THROW(Mlp::load(chain_is), Error);
 }
 
 }  // namespace

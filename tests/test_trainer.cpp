@@ -4,8 +4,10 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
+#include "common/serialize.h"
 #include "common/rng.h"
 
 namespace mlqr {
@@ -97,9 +99,7 @@ TEST(Trainer, BalancedAccuracyWeighsClassesEqually) {
   // A constant predictor of class 0 on a 90/10 split: plain accuracy 0.9,
   // balanced accuracy 0.5.
   Mlp m({1, 2});
-  auto& l = m.mutable_layers()[0];
-  l.w = {0.0f, 0.0f};
-  l.b = {1.0f, 0.0f};  // Always predicts class 0.
+  m.layer(0, m.params()).b[0] = 1.0f;  // W = 0, b = (1, 0): always class 0.
   std::vector<float> x;
   std::vector<int> y;
   for (int i = 0; i < 90; ++i) {
@@ -163,8 +163,8 @@ TEST(Trainer, WeightDecayShrinksWeights) {
   // decision-critical weight that decay barely touches).
   auto l2 = [](const Mlp& m) {
     double acc = 0.0;
-    for (const DenseLayer& l : m.layers())
-      for (float w : l.w) acc += static_cast<double>(w) * w;
+    for (std::size_t l = 0; l < m.num_layers(); ++l)
+      for (float w : m.layer(l).w) acc += static_cast<double>(w) * w;
     return acc;
   };
   EXPECT_LT(l2(m2), 0.8 * l2(m1));
@@ -261,6 +261,93 @@ TEST(Trainer, WarmStartDiffersFromColdRestart) {
   train_classifier(cold, x, y, cfg, nullptr);
   EXPECT_EQ(opt.step_count(), 2 * steps_after_leg1);
   EXPECT_NE(weight_bits(warm), weight_bits(cold));
+}
+
+// The optimizer checkpoint is outside input: every count is bounded by the
+// bytes left in the stream before it sizes the moments, so a header that
+// claims 2^28 parameters and carries none fails with Error, as does every
+// truncation of a real checkpoint.
+TEST(Trainer, OptimizerLoadRejectsHostileCountsAndTruncations) {
+  std::stringstream hostile;
+  io::write_u64(hostile, 0);         // Step.
+  io::write_u64(hostile, 2);         // Two layer sizes:
+  io::write_u64(hostile, 1);         //   in = 1,
+  io::write_u64(hostile, 1u << 27);  //   out = 2^27 -> 2^28 parameters.
+  io::write_u64(hostile, 1u << 28);  // First-moment count; no payload.
+  EXPECT_THROW(AdamWOptimizer::load(hostile), Error);
+
+  std::vector<float> x;
+  std::vector<int> y;
+  make_blobs(x, y, 20, 5);
+  Mlp m({2, 4, 3});
+  Rng rng(3);
+  m.init_weights(rng);
+  TrainerConfig cfg;
+  cfg.epochs = 1;
+  cfg.validation_fraction = 0.0f;
+  AdamWOptimizer opt;
+  train_classifier(m, x, y, cfg, &opt);
+  std::ostringstream os;
+  opt.save(os);
+  const std::string bytes = os.str();
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    std::istringstream is(bytes.substr(0, n));
+    EXPECT_THROW(AdamWOptimizer::load(is), Error) << "truncated to " << n;
+  }
+  std::istringstream whole(bytes);
+  const AdamWOptimizer loaded = AdamWOptimizer::load(whole);
+  EXPECT_TRUE(loaded.matches(m));
+  EXPECT_EQ(loaded.step_count(), opt.step_count());
+}
+
+// The moments are flat, but matching them to a model stays a shape check:
+// {2,12,3} and {2,10,3,3} both have 75 parameters and must not match.
+TEST(Trainer, OptimizerLayoutCheckIsAShapeCheck) {
+  std::vector<float> x;
+  std::vector<int> y;
+  make_blobs(x, y, 30, 7);
+  Mlp a({2, 12, 3}), b({2, 10, 3, 3});
+  ASSERT_EQ(a.parameter_count(), 75u);
+  ASSERT_EQ(b.parameter_count(), 75u);
+  Rng rng(9);
+  a.init_weights(rng);
+  b.init_weights(rng);
+  TrainerConfig cfg;
+  cfg.epochs = 1;
+  cfg.validation_fraction = 0.0f;
+  AdamWOptimizer opt;
+  train_classifier(a, x, y, cfg, &opt);
+  EXPECT_TRUE(opt.matches(a));
+  EXPECT_FALSE(opt.matches(b));
+  EXPECT_THROW(train_classifier(b, x, y, cfg, &opt), Error);
+}
+
+// With validation on, train_classifier restores the best validation
+// epoch's weights. Training only up to that epoch (same seed, so the RNG
+// draws of those epochs are identical) must give the same bytes.
+TEST(Trainer, RestoresBestValidationEpoch) {
+  std::vector<float> x;
+  std::vector<int> y;
+  make_blobs(x, y, 120, 29, 1.5);
+  TrainerConfig cfg;
+  cfg.epochs = 12;
+  cfg.learning_rate = 3e-2f;
+  cfg.validation_fraction = 0.3f;
+  cfg.seed = 41;
+  auto train = [&](int epochs) {
+    Mlp m({2, 8, 3});
+    Rng rng(19);
+    m.init_weights(rng);
+    cfg.epochs = epochs;
+    const TrainHistory h = train_classifier(m, x, y, cfg);
+    return std::pair<std::string, int>(weight_bits(m), h.best_epoch);
+  };
+  const auto [full_bits, best] = train(12);
+  ASSERT_GE(best, 0);
+  ASSERT_LT(best, 12 - 1) << "needs a run whose best epoch is not the last";
+  const auto [prefix_bits, prefix_best] = train(best + 1);
+  EXPECT_EQ(prefix_best, best);
+  EXPECT_EQ(prefix_bits, full_bits);
 }
 
 // Parallel evaluation reduces integer hit counts, so it is exactly equal
