@@ -8,6 +8,12 @@
 // name becomes "avx512-vnni" / "avx-vnni". simd_tier() reports the
 // compiled tier so bench records say what they measured.
 //
+// The AVX2 and SSE2 tiers hold only per-tier primitives (float and int
+// vectors, a 16-byte u8 x i8 madd); every x86 kernel — float, int16 and
+// the non-VNNI u8 x i8 — is written once against them, so the two tiers
+// differ only in lane width and in whether fmadd is fused (AVX2 built with
+// FMA). NEON and scalar keep their own kernels.
+//
 // Every kernel also has an always-compiled *_scalar twin. The scalar
 // versions are the semantic reference: tests pin the vector paths against
 // them (bit-exact for the integer kernels, bounded relative error for
@@ -235,12 +241,37 @@ inline void add_bias_relu_f32_scalar(float* z, const float* b, std::size_t n) {
 }
 
 // --------------------------------------------------------------- x86 tiers --
+//
+// The AVX2 and SSE2 tiers define only primitives, in detail::; every x86
+// kernel is written once against them (see "x86 kernels" below). A VecF
+// holds kF32Lanes floats; a VecI holds kI16Lanes int16 codes, or half as
+// many int32 lanes.
 
 #if defined(MLQR_SIMD_AVX2)
 
 namespace detail {
 
-inline float hsum_f32(__m256 v) {
+using VecF = __m256;
+constexpr std::size_t kF32Lanes = 8;
+
+inline VecF zero_f32() { return _mm256_setzero_ps(); }
+inline VecF set1_f32(float x) { return _mm256_set1_ps(x); }
+inline VecF load_f32(const float* p) { return _mm256_loadu_ps(p); }
+inline void store_f32(float* p, VecF v) { _mm256_storeu_ps(p, v); }
+inline VecF add_f32(VecF a, VecF b) { return _mm256_add_ps(a, b); }
+inline VecF sub_f32(VecF a, VecF b) { return _mm256_sub_ps(a, b); }
+inline VecF max_f32(VecF a, VecF b) { return _mm256_max_ps(a, b); }
+
+/// a * b + c, fused when the build has FMA.
+inline VecF fmadd(VecF a, VecF b, VecF c) {
+#if defined(__FMA__)
+  return _mm256_fmadd_ps(a, b, c);
+#else
+  return _mm256_add_ps(_mm256_mul_ps(a, b), c);
+#endif
+}
+
+inline float hsum_f32(VecF v) {
   __m128 lo = _mm256_castps256_ps128(v);
   __m128 hi = _mm256_extractf128_ps(v, 1);
   lo = _mm_add_ps(lo, hi);
@@ -251,9 +282,6 @@ inline float hsum_f32(__m256 v) {
   return _mm_cvtss_f32(lo);
 }
 
-// Integer primitives the shared x86 int16 MAC kernels are written against
-// (see "x86 int16 MAC kernels" below); the SSE2 tier defines the same set
-// on __m128i.
 using VecI = __m256i;
 constexpr std::size_t kI16Lanes = 16;
 
@@ -270,7 +298,7 @@ inline VecI add_i32(VecI a, VecI b) { return _mm256_add_epi32(a, b); }
 inline VecI sub_i32(VecI a, VecI b) { return _mm256_sub_epi32(a, b); }
 inline VecI hi16_i32(VecI p) { return _mm256_srai_epi32(p, 16); }
 
-inline std::int32_t hsum_i32(__m256i v) {
+inline std::int32_t hsum_i32(VecI v) {
   __m128i lo = _mm_add_epi32(_mm256_castsi256_si128(v),
                              _mm256_extracti128_si256(v, 1));
   lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, 0x4e));
@@ -278,190 +306,41 @@ inline std::int32_t hsum_i32(__m256i v) {
   return _mm_cvtsi128_si32(lo);
 }
 
-inline __m256 fmadd(__m256 a, __m256 b, __m256 c) {
-#if defined(__FMA__)
-  return _mm256_fmadd_ps(a, b, c);
-#else
-  return _mm256_add_ps(_mm256_mul_ps(a, b), c);
-#endif
+/// 16 u8 x i8 products, summed pairwise into int32 lanes: both operands
+/// widen to int16 for one madd. maddubs is NOT usable here — its pairwise
+/// int16 sum saturates (255*127*2 > 32767), which would break the
+/// exact-sum contract.
+inline VecI madd_u8i8(const std::uint8_t* u, const std::int8_t* w) {
+  return _mm256_madd_epi16(
+      _mm256_cvtepu8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(u))),
+      _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w))));
 }
 
 }  // namespace detail
-
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    acc = detail::fmadd(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
-  float sum = detail::hsum_f32(acc);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-inline float fused_dot_f32(const float* kr, const float* ki, const float* xi,
-                           const float* xq, std::size_t n) {
-  // Four accumulator chains per stream: one fmadd chain is bound by the
-  // 4-cycle fmadd latency, leaving the FMA ports ~75% idle on the long
-  // front-end rows this kernel exists for; four independent chains keep
-  // them fed. The deeper reassociation changes nothing contractual (the
-  // float kernels already reassociate, see the header comment).
-  __m256 r0 = _mm256_setzero_ps(), r1 = _mm256_setzero_ps();
-  __m256 r2 = _mm256_setzero_ps(), r3 = _mm256_setzero_ps();
-  __m256 i0 = _mm256_setzero_ps(), i1 = _mm256_setzero_ps();
-  __m256 i2 = _mm256_setzero_ps(), i3 = _mm256_setzero_ps();
-  std::size_t t = 0;
-  for (; t + 32 <= n; t += 32) {
-    r0 = detail::fmadd(_mm256_loadu_ps(kr + t), _mm256_loadu_ps(xi + t), r0);
-    i0 = detail::fmadd(_mm256_loadu_ps(ki + t), _mm256_loadu_ps(xq + t), i0);
-    r1 = detail::fmadd(_mm256_loadu_ps(kr + t + 8), _mm256_loadu_ps(xi + t + 8),
-                       r1);
-    i1 = detail::fmadd(_mm256_loadu_ps(ki + t + 8), _mm256_loadu_ps(xq + t + 8),
-                       i1);
-    r2 = detail::fmadd(_mm256_loadu_ps(kr + t + 16),
-                       _mm256_loadu_ps(xi + t + 16), r2);
-    i2 = detail::fmadd(_mm256_loadu_ps(ki + t + 16),
-                       _mm256_loadu_ps(xq + t + 16), i2);
-    r3 = detail::fmadd(_mm256_loadu_ps(kr + t + 24),
-                       _mm256_loadu_ps(xi + t + 24), r3);
-    i3 = detail::fmadd(_mm256_loadu_ps(ki + t + 24),
-                       _mm256_loadu_ps(xq + t + 24), i3);
-  }
-  __m256 accr = _mm256_add_ps(_mm256_add_ps(r0, r1), _mm256_add_ps(r2, r3));
-  __m256 acci = _mm256_add_ps(_mm256_add_ps(i0, i1), _mm256_add_ps(i2, i3));
-  for (; t + 8 <= n; t += 8) {
-    accr =
-        detail::fmadd(_mm256_loadu_ps(kr + t), _mm256_loadu_ps(xi + t), accr);
-    acci =
-        detail::fmadd(_mm256_loadu_ps(ki + t), _mm256_loadu_ps(xq + t), acci);
-  }
-  float sum = detail::hsum_f32(_mm256_sub_ps(accr, acci));
-  for (; t < n; ++t) sum += kr[t] * xi[t] - ki[t] * xq[t];
-  return sum;
-}
-
-inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        y + i, detail::fmadd(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-inline void axpy4_f32(std::size_t n, const float* a, const float* x0,
-                      const float* x1, const float* x2, const float* x3,
-                      float* y) {
-  const __m256 a0 = _mm256_set1_ps(a[0]);
-  const __m256 a1 = _mm256_set1_ps(a[1]);
-  const __m256 a2 = _mm256_set1_ps(a[2]);
-  const __m256 a3 = _mm256_set1_ps(a[3]);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 acc = _mm256_loadu_ps(y + i);
-    acc = detail::fmadd(a0, _mm256_loadu_ps(x0 + i), acc);
-    acc = detail::fmadd(a1, _mm256_loadu_ps(x1 + i), acc);
-    acc = detail::fmadd(a2, _mm256_loadu_ps(x2 + i), acc);
-    acc = detail::fmadd(a3, _mm256_loadu_ps(x3 + i), acc);
-    _mm256_storeu_ps(y + i, acc);
-  }
-  for (; i < n; ++i)
-    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
-}
-
-inline void dot4_f32(const float* shared, const float* b0, const float* b1,
-                     const float* b2, const float* b3, std::size_t n,
-                     float* out) {
-  __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-  __m256 s2 = _mm256_setzero_ps(), s3 = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 s = _mm256_loadu_ps(shared + i);
-    s0 = detail::fmadd(s, _mm256_loadu_ps(b0 + i), s0);
-    s1 = detail::fmadd(s, _mm256_loadu_ps(b1 + i), s1);
-    s2 = detail::fmadd(s, _mm256_loadu_ps(b2 + i), s2);
-    s3 = detail::fmadd(s, _mm256_loadu_ps(b3 + i), s3);
-  }
-  out[0] = detail::hsum_f32(s0);
-  out[1] = detail::hsum_f32(s1);
-  out[2] = detail::hsum_f32(s2);
-  out[3] = detail::hsum_f32(s3);
-  for (; i < n; ++i) {
-    const float s = shared[i];
-    out[0] += s * b0[i];
-    out[1] += s * b1[i];
-    out[2] += s * b2[i];
-    out[3] += s * b3[i];
-  }
-}
-
-inline std::int32_t dot_u8i8(const std::uint8_t* u, const std::int8_t* w,
-                             std::size_t n) {
-  std::size_t i = 0;
-#if defined(MLQR_SIMD_VNNI512)
-  __m512i acc512 = _mm512_setzero_si512();
-  for (; i + 64 <= n; i += 64)
-    acc512 = _mm512_dpbusd_epi32(
-        acc512, _mm512_loadu_si512(u + i),
-        _mm512_loadu_si512(reinterpret_cast<const void*>(w + i)));
-  std::int32_t sum = _mm512_reduce_add_epi32(acc512);
-#elif defined(MLQR_SIMD_VNNI256)
-  __m256i acc = _mm256_setzero_si256();
-  for (; i + 32 <= n; i += 32) {
-    const __m256i vu =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u + i));
-    const __m256i vw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-#if defined(__AVXVNNI__) && !defined(__AVX512VNNI__)
-    acc = _mm256_dpbusd_avx_epi32(acc, vu, vw);
-#else
-    acc = _mm256_dpbusd_epi32(acc, vu, vw);
-#endif
-  }
-  std::int32_t sum = detail::hsum_i32(acc);
-#else
-  // Plain AVX2: widen both operands to int16 and madd. maddubs is NOT
-  // usable here — its pairwise int16 sum saturates (255*127*2 > 32767),
-  // which would break the exact-sum contract.
-  __m256i acc = _mm256_setzero_si256();
-  for (; i + 16 <= n; i += 16) {
-    const __m256i vu = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(u + i)));
-    const __m256i vw = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(vu, vw));
-  }
-  std::int32_t sum = detail::hsum_i32(acc);
-#endif
-  for (; i < n; ++i)
-    sum += static_cast<std::int32_t>(u[i]) * static_cast<std::int32_t>(w[i]);
-  return sum;
-}
-
-inline void add_bias_f32(float* z, const float* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        z + i, _mm256_add_ps(_mm256_loadu_ps(z + i), _mm256_loadu_ps(b + i)));
-  for (; i < n; ++i) z[i] += b[i];
-}
-
-inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        z + i,
-        _mm256_max_ps(
-            _mm256_add_ps(_mm256_loadu_ps(z + i), _mm256_loadu_ps(b + i)),
-            zero));
-  for (; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
-}
 
 #elif defined(MLQR_SIMD_SSE2)
 
 namespace detail {
 
-inline float hsum_f32(__m128 v) {
+using VecF = __m128;
+constexpr std::size_t kF32Lanes = 4;
+
+inline VecF zero_f32() { return _mm_setzero_ps(); }
+inline VecF set1_f32(float x) { return _mm_set1_ps(x); }
+inline VecF load_f32(const float* p) { return _mm_loadu_ps(p); }
+inline void store_f32(float* p, VecF v) { _mm_storeu_ps(p, v); }
+inline VecF add_f32(VecF a, VecF b) { return _mm_add_ps(a, b); }
+inline VecF sub_f32(VecF a, VecF b) { return _mm_sub_ps(a, b); }
+inline VecF max_f32(VecF a, VecF b) { return _mm_max_ps(a, b); }
+
+/// c + a * b, unfused: SSE2 has no FMA.
+inline VecF fmadd(VecF a, VecF b, VecF c) {
+  return _mm_add_ps(c, _mm_mul_ps(a, b));
+}
+
+inline float hsum_f32(VecF v) {
   __m128 sh = _mm_movehl_ps(v, v);
   v = _mm_add_ps(v, sh);
   sh = _mm_shuffle_ps(v, v, 0x55);
@@ -469,7 +348,6 @@ inline float hsum_f32(__m128 v) {
   return _mm_cvtss_f32(v);
 }
 
-// The shared x86 int16 MAC kernels' primitives; see the AVX2 twin.
 using VecI = __m128i;
 constexpr std::size_t kI16Lanes = 8;
 
@@ -486,162 +364,27 @@ inline VecI add_i32(VecI a, VecI b) { return _mm_add_epi32(a, b); }
 inline VecI sub_i32(VecI a, VecI b) { return _mm_sub_epi32(a, b); }
 inline VecI hi16_i32(VecI p) { return _mm_srai_epi32(p, 16); }
 
-inline std::int32_t hsum_i32(__m128i v) {
+inline std::int32_t hsum_i32(VecI v) {
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0x4e));
   v = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0xb1));
   return _mm_cvtsi128_si32(v);
 }
 
-}  // namespace detail
-
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  __m128 acc = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-  float sum = detail::hsum_f32(acc);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-inline float fused_dot_f32(const float* kr, const float* ki, const float* xi,
-                           const float* xq, std::size_t n) {
-  // Four accumulator chains per stream, mirroring the AVX2 kernel: a
-  // single addps chain is latency-bound (3-4 cycles) on the long
-  // front-end rows; independent chains keep the multiply port busy.
-  __m128 r0 = _mm_setzero_ps(), r1 = _mm_setzero_ps();
-  __m128 r2 = _mm_setzero_ps(), r3 = _mm_setzero_ps();
-  __m128 i0 = _mm_setzero_ps(), i1 = _mm_setzero_ps();
-  __m128 i2 = _mm_setzero_ps(), i3 = _mm_setzero_ps();
-  std::size_t t = 0;
-  for (; t + 16 <= n; t += 16) {
-    r0 = _mm_add_ps(r0, _mm_mul_ps(_mm_loadu_ps(kr + t), _mm_loadu_ps(xi + t)));
-    i0 = _mm_add_ps(i0, _mm_mul_ps(_mm_loadu_ps(ki + t), _mm_loadu_ps(xq + t)));
-    r1 = _mm_add_ps(
-        r1, _mm_mul_ps(_mm_loadu_ps(kr + t + 4), _mm_loadu_ps(xi + t + 4)));
-    i1 = _mm_add_ps(
-        i1, _mm_mul_ps(_mm_loadu_ps(ki + t + 4), _mm_loadu_ps(xq + t + 4)));
-    r2 = _mm_add_ps(
-        r2, _mm_mul_ps(_mm_loadu_ps(kr + t + 8), _mm_loadu_ps(xi + t + 8)));
-    i2 = _mm_add_ps(
-        i2, _mm_mul_ps(_mm_loadu_ps(ki + t + 8), _mm_loadu_ps(xq + t + 8)));
-    r3 = _mm_add_ps(
-        r3, _mm_mul_ps(_mm_loadu_ps(kr + t + 12), _mm_loadu_ps(xi + t + 12)));
-    i3 = _mm_add_ps(
-        i3, _mm_mul_ps(_mm_loadu_ps(ki + t + 12), _mm_loadu_ps(xq + t + 12)));
-  }
-  __m128 accr = _mm_add_ps(_mm_add_ps(r0, r1), _mm_add_ps(r2, r3));
-  __m128 acci = _mm_add_ps(_mm_add_ps(i0, i1), _mm_add_ps(i2, i3));
-  for (; t + 4 <= n; t += 4) {
-    accr = _mm_add_ps(accr,
-                      _mm_mul_ps(_mm_loadu_ps(kr + t), _mm_loadu_ps(xi + t)));
-    acci = _mm_add_ps(acci,
-                      _mm_mul_ps(_mm_loadu_ps(ki + t), _mm_loadu_ps(xq + t)));
-  }
-  float sum = detail::hsum_f32(_mm_sub_ps(accr, acci));
-  for (; t < n; ++t) sum += kr[t] * xi[t] - ki[t] * xq[t];
-  return sum;
-}
-
-inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
-  const __m128 va = _mm_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm_storeu_ps(y + i, _mm_add_ps(_mm_loadu_ps(y + i),
-                                    _mm_mul_ps(va, _mm_loadu_ps(x + i))));
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-inline void axpy4_f32(std::size_t n, const float* a, const float* x0,
-                      const float* x1, const float* x2, const float* x3,
-                      float* y) {
-  const __m128 a0 = _mm_set1_ps(a[0]);
-  const __m128 a1 = _mm_set1_ps(a[1]);
-  const __m128 a2 = _mm_set1_ps(a[2]);
-  const __m128 a3 = _mm_set1_ps(a[3]);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 acc = _mm_loadu_ps(y + i);
-    acc = _mm_add_ps(acc, _mm_mul_ps(a0, _mm_loadu_ps(x0 + i)));
-    acc = _mm_add_ps(acc, _mm_mul_ps(a1, _mm_loadu_ps(x1 + i)));
-    acc = _mm_add_ps(acc, _mm_mul_ps(a2, _mm_loadu_ps(x2 + i)));
-    acc = _mm_add_ps(acc, _mm_mul_ps(a3, _mm_loadu_ps(x3 + i)));
-    _mm_storeu_ps(y + i, acc);
-  }
-  for (; i < n; ++i)
-    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
-}
-
-inline void dot4_f32(const float* shared, const float* b0, const float* b1,
-                     const float* b2, const float* b3, std::size_t n,
-                     float* out) {
-  __m128 s0 = _mm_setzero_ps(), s1 = _mm_setzero_ps();
-  __m128 s2 = _mm_setzero_ps(), s3 = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 s = _mm_loadu_ps(shared + i);
-    s0 = _mm_add_ps(s0, _mm_mul_ps(s, _mm_loadu_ps(b0 + i)));
-    s1 = _mm_add_ps(s1, _mm_mul_ps(s, _mm_loadu_ps(b1 + i)));
-    s2 = _mm_add_ps(s2, _mm_mul_ps(s, _mm_loadu_ps(b2 + i)));
-    s3 = _mm_add_ps(s3, _mm_mul_ps(s, _mm_loadu_ps(b3 + i)));
-  }
-  out[0] = detail::hsum_f32(s0);
-  out[1] = detail::hsum_f32(s1);
-  out[2] = detail::hsum_f32(s2);
-  out[3] = detail::hsum_f32(s3);
-  for (; i < n; ++i) {
-    const float s = shared[i];
-    out[0] += s * b0[i];
-    out[1] += s * b1[i];
-    out[2] += s * b2[i];
-    out[3] += s * b3[i];
-  }
-}
-
-inline std::int32_t dot_u8i8(const std::uint8_t* u, const std::int8_t* w,
-                             std::size_t n) {
-  // SSE2 has no byte-wise widening loads: zero-extend u with unpack
-  // against zero, sign-extend w with unpack-against-self + arithmetic
-  // shift, then madd the int16 lanes (exact: |u*w| <= 255*128 per product,
-  // two per int32 lane).
+/// 16 u8 x i8 products, summed pairwise into int32 lanes. SSE2 has no
+/// byte-wise widening loads: zero-extend u with unpack against zero,
+/// sign-extend w with unpack-against-self + arithmetic shift, then madd
+/// the int16 lanes (exact: |u*w| <= 255*128 per product, two per lane).
+inline VecI madd_u8i8(const std::uint8_t* u, const std::int8_t* w) {
   const __m128i zero = _mm_setzero_si128();
-  __m128i acc = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i vu =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(u + i));
-    const __m128i vw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    const __m128i ulo = _mm_unpacklo_epi8(vu, zero);
-    const __m128i uhi = _mm_unpackhi_epi8(vu, zero);
-    const __m128i wlo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, vw), 8);
-    const __m128i whi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, vw), 8);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(ulo, wlo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(uhi, whi));
-  }
-  std::int32_t sum = detail::hsum_i32(acc);
-  for (; i < n; ++i)
-    sum += static_cast<std::int32_t>(u[i]) * static_cast<std::int32_t>(w[i]);
-  return sum;
+  const __m128i vu = _mm_loadu_si128(reinterpret_cast<const __m128i*>(u));
+  const __m128i vw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
+  const __m128i wlo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, vw), 8);
+  const __m128i whi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, vw), 8);
+  return _mm_add_epi32(_mm_madd_epi16(_mm_unpacklo_epi8(vu, zero), wlo),
+                       _mm_madd_epi16(_mm_unpackhi_epi8(vu, zero), whi));
 }
 
-inline void add_bias_f32(float* z, const float* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm_storeu_ps(z + i, _mm_add_ps(_mm_loadu_ps(z + i), _mm_loadu_ps(b + i)));
-  for (; i < n; ++i) z[i] += b[i];
-}
-
-inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
-  const __m128 zero = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm_storeu_ps(
-        z + i,
-        _mm_max_ps(_mm_add_ps(_mm_loadu_ps(z + i), _mm_loadu_ps(b + i)),
-                   zero));
-  for (; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
-}
+}  // namespace detail
 
 #elif defined(MLQR_SIMD_NEON)
 
@@ -893,13 +636,162 @@ inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
 
 #endif
 
-// ------------------------------------------------ x86 int16 MAC kernels --
+// ------------------------------------------------------------- x86 kernels --
 //
-// One body for the AVX2 and SSE2 tiers, written against the per-tier
-// primitives in detail:: (a VecI holds kI16Lanes int16 codes, or half as
-// many int32 lanes).
-//
-// Split accumulation. pmaddwd sums adjacent product pairs into int32
+// One body per kernel for the AVX2 and SSE2 tiers, written against the
+// per-tier primitives in detail:: above. NEON and scalar keep their own.
+
+#if defined(MLQR_SIMD_AVX2) || defined(MLQR_SIMD_SSE2)
+
+inline float dot_f32(const float* a, const float* b, std::size_t n) {
+  constexpr std::size_t L = detail::kF32Lanes;
+  detail::VecF acc = detail::zero_f32();
+  std::size_t i = 0;
+  for (; i + L <= n; i += L)
+    acc = detail::fmadd(detail::load_f32(a + i), detail::load_f32(b + i), acc);
+  float sum = detail::hsum_f32(acc);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+inline float fused_dot_f32(const float* kr, const float* ki, const float* xi,
+                           const float* xq, std::size_t n) {
+  // Four accumulator chains per stream: one chain is bound by the fmadd
+  // (or addps) latency, leaving the FMA / multiply ports mostly idle on
+  // the long front-end rows this kernel exists for; four independent
+  // chains keep them fed. The deeper reassociation changes nothing
+  // contractual (the float kernels already reassociate, see the header
+  // comment).
+  constexpr std::size_t L = detail::kF32Lanes;
+  detail::VecF re[4], im[4];
+  for (std::size_t c = 0; c < 4; ++c) re[c] = im[c] = detail::zero_f32();
+  std::size_t t = 0;
+  for (; t + 4 * L <= n; t += 4 * L)
+    for (std::size_t c = 0; c < 4; ++c) {
+      const std::size_t o = t + c * L;
+      re[c] = detail::fmadd(detail::load_f32(kr + o), detail::load_f32(xi + o),
+                            re[c]);
+      im[c] = detail::fmadd(detail::load_f32(ki + o), detail::load_f32(xq + o),
+                            im[c]);
+    }
+  detail::VecF accr = detail::add_f32(detail::add_f32(re[0], re[1]),
+                                      detail::add_f32(re[2], re[3]));
+  detail::VecF acci = detail::add_f32(detail::add_f32(im[0], im[1]),
+                                      detail::add_f32(im[2], im[3]));
+  for (; t + L <= n; t += L) {
+    accr = detail::fmadd(detail::load_f32(kr + t), detail::load_f32(xi + t),
+                         accr);
+    acci = detail::fmadd(detail::load_f32(ki + t), detail::load_f32(xq + t),
+                         acci);
+  }
+  float sum = detail::hsum_f32(detail::sub_f32(accr, acci));
+  for (; t < n; ++t) sum += kr[t] * xi[t] - ki[t] * xq[t];
+  return sum;
+}
+
+inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
+  constexpr std::size_t L = detail::kF32Lanes;
+  const detail::VecF va = detail::set1_f32(a);
+  std::size_t i = 0;
+  for (; i + L <= n; i += L)
+    detail::store_f32(y + i, detail::fmadd(va, detail::load_f32(x + i),
+                                           detail::load_f32(y + i)));
+  for (; i < n; ++i) y[i] += a * x[i];
+}
+
+inline void axpy4_f32(std::size_t n, const float* a, const float* x0,
+                      const float* x1, const float* x2, const float* x3,
+                      float* y) {
+  constexpr std::size_t L = detail::kF32Lanes;
+  const float* x[4] = {x0, x1, x2, x3};
+  detail::VecF va[4];
+  for (int r = 0; r < 4; ++r) va[r] = detail::set1_f32(a[r]);
+  std::size_t i = 0;
+  for (; i + L <= n; i += L) {
+    detail::VecF acc = detail::load_f32(y + i);
+    for (int r = 0; r < 4; ++r)
+      acc = detail::fmadd(va[r], detail::load_f32(x[r] + i), acc);
+    detail::store_f32(y + i, acc);
+  }
+  for (; i < n; ++i)
+    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
+}
+
+inline void dot4_f32(const float* shared, const float* b0, const float* b1,
+                     const float* b2, const float* b3, std::size_t n,
+                     float* out) {
+  constexpr std::size_t L = detail::kF32Lanes;
+  const float* b[4] = {b0, b1, b2, b3};
+  detail::VecF acc[4];
+  for (int r = 0; r < 4; ++r) acc[r] = detail::zero_f32();
+  std::size_t i = 0;
+  for (; i + L <= n; i += L) {
+    const detail::VecF s = detail::load_f32(shared + i);
+    for (int r = 0; r < 4; ++r)
+      acc[r] = detail::fmadd(s, detail::load_f32(b[r] + i), acc[r]);
+  }
+  for (int r = 0; r < 4; ++r) out[r] = detail::hsum_f32(acc[r]);
+  for (; i < n; ++i)
+    for (int r = 0; r < 4; ++r) out[r] += shared[i] * b[r][i];
+}
+
+inline void add_bias_f32(float* z, const float* b, std::size_t n) {
+  constexpr std::size_t L = detail::kF32Lanes;
+  std::size_t i = 0;
+  for (; i + L <= n; i += L)
+    detail::store_f32(
+        z + i, detail::add_f32(detail::load_f32(z + i), detail::load_f32(b + i)));
+  for (; i < n; ++i) z[i] += b[i];
+}
+
+inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
+  constexpr std::size_t L = detail::kF32Lanes;
+  const detail::VecF zero = detail::zero_f32();
+  std::size_t i = 0;
+  for (; i + L <= n; i += L)
+    detail::store_f32(
+        z + i, detail::max_f32(detail::add_f32(detail::load_f32(z + i),
+                                               detail::load_f32(b + i)),
+                               zero));
+  for (; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
+}
+
+inline std::int32_t dot_u8i8(const std::uint8_t* u, const std::int8_t* w,
+                             std::size_t n) {
+  std::size_t i = 0;
+#if defined(MLQR_SIMD_VNNI512)
+  __m512i acc512 = _mm512_setzero_si512();
+  for (; i + 64 <= n; i += 64)
+    acc512 = _mm512_dpbusd_epi32(
+        acc512, _mm512_loadu_si512(u + i),
+        _mm512_loadu_si512(reinterpret_cast<const void*>(w + i)));
+  std::int32_t sum = _mm512_reduce_add_epi32(acc512);
+#elif defined(MLQR_SIMD_VNNI256)
+  __m256i acc = _mm256_setzero_si256();
+  for (; i + 32 <= n; i += 32) {
+    const __m256i vu =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u + i));
+    const __m256i vw =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
+#if defined(__AVXVNNI__) && !defined(__AVX512VNNI__)
+    acc = _mm256_dpbusd_avx_epi32(acc, vu, vw);
+#else
+    acc = _mm256_dpbusd_epi32(acc, vu, vw);
+#endif
+  }
+  std::int32_t sum = detail::hsum_i32(acc);
+#else
+  detail::VecI acc = detail::zero_i32();
+  for (; i + 16 <= n; i += 16)
+    acc = detail::add_i32(acc, detail::madd_u8i8(u + i, w + i));
+  std::int32_t sum = detail::hsum_i32(acc);
+#endif
+  for (; i < n; ++i)
+    sum += static_cast<std::int32_t>(u[i]) * static_cast<std::int32_t>(w[i]);
+  return sum;
+}
+
+// x86 int16 MAC kernels. Split accumulation. pmaddwd sums adjacent product pairs into int32
 // lanes; with no -2^15 in the `a` operand each such p has
 // |p| <= 2^31 - 2^16, but the sum of two may not fit. Rather than
 // sign-extend every p to int64 (two unpack shuffles per vector), a lane
@@ -915,8 +807,6 @@ inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
 // keep that true even summed across a vector's 8 lanes, so a lane-wise
 // int32 reduction recombines both halves exactly, once per call:
 // 65536 * sum(hi) + sum(lo) in int64.
-
-#if defined(MLQR_SIMD_AVX2) || defined(MLQR_SIMD_SSE2)
 
 namespace detail {
 

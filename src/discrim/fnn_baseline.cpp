@@ -17,6 +17,7 @@ std::vector<float> FnnDiscriminator::raw_features(const IqTrace& trace) const {
 
 void FnnDiscriminator::raw_features_into(const IqTrace& trace,
                                          std::vector<float>& x) const {
+  trace.check_consistent();
   MLQR_CHECK(trace.size() >= samples_used_);
   x.clear();
   x.reserve(2 * samples_used_);
@@ -115,6 +116,7 @@ void FnnDiscriminator::classify_batch_into(
     scratch.batch_features.resize(tile * in_dim);
     for (std::size_t s = 0; s < tile; ++s) {
       const IqTrace& trace = frame_at(base + s);
+      trace.check_consistent();
       MLQR_CHECK(trace.size() >= samples_used_);
       float* row = scratch.batch_features.data() + s * in_dim;
       std::copy_n(trace.i.begin(), samples_used_, row);

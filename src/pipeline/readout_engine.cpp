@@ -136,8 +136,6 @@ EngineBatch ReadoutEngine::run(
       },
       micros);
   batch.wall_seconds = wall.seconds();
-  total_shots_ += n;
-  total_seconds_ += batch.wall_seconds;
   return batch;
 }
 
@@ -149,6 +147,10 @@ EngineBatch ReadoutEngine::process_batch(std::span<const IqTrace> frames) {
 EngineBatch ReadoutEngine::process_batch(
     const ShotSet& shots, std::span<const std::size_t> subset) {
   MLQR_CHECK(shots.n_qubits == backend_.num_qubits());
+  for (const std::size_t i : subset)
+    MLQR_CHECK_MSG(i < shots.size(), "subset index " << i
+                                         << " out of range for "
+                                         << shots.size() << " shots");
   return run(subset.size(), [&shots, subset](std::size_t s) -> const IqTrace& {
     return shots.traces[subset[s]];
   });

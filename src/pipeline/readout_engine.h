@@ -244,7 +244,8 @@ class ReadoutEngine {
   /// Hot path: classify a contiguous batch of multiplexed frames.
   EngineBatch process_batch(std::span<const IqTrace> frames);
 
-  /// Indexed variant over a stored ShotSet — no trace copies.
+  /// Indexed variant over a stored ShotSet — no trace copies. Throws
+  /// mlqr::Error before classifying if any subset index is out of range.
   EngineBatch process_batch(const ShotSet& shots,
                             std::span<const std::size_t> subset);
 
@@ -262,15 +263,6 @@ class ReadoutEngine {
   FidelityReport evaluate(const ShotSet& shots,
                           std::span<const std::size_t> subset);
 
-  /// Cumulative counters across all process_* calls on this engine.
-  std::size_t total_shots() const { return total_shots_; }
-  double total_seconds() const { return total_seconds_; }
-  double cumulative_shots_per_second() const {
-    return total_seconds_ > 0.0
-               ? static_cast<double>(total_shots_) / total_seconds_
-               : 0.0;
-  }
-
  private:
   /// Shared fan-out: frame_at(i) must be valid for i in [0, n).
   EngineBatch run(std::size_t n,
@@ -278,8 +270,6 @@ class ReadoutEngine {
 
   EngineBackend backend_;
   EngineCore core_;
-  std::size_t total_shots_ = 0;
-  double total_seconds_ = 0.0;
 };
 
 }  // namespace mlqr

@@ -89,9 +89,8 @@ struct ChipProfile {
   /// otherwise round(duration/dt) — nearest, not truncation, so a duration
   /// that is an exact multiple of a non-representable dt (e.g. 10/3 ns at
   /// 300 MS/s) never loses its last sample to floating-point
-  /// representation error. Every duration-aware stage (Channelizer and all
-  /// discriminators) resolves through this one helper so they agree on the
-  /// window. Throws when the result is 0 or exceeds n_samples.
+  /// representation error. Every duration-aware stage (every discriminator)
+  /// resolves through this one helper so they agree on the window. Throws when the result is 0 or exceeds n_samples.
   std::size_t window_samples(double duration_ns) const;
 
   /// Validates invariants (Nyquist, crosstalk shape, level ordering).

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/error.h"
 #include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
 #include "discrim/herqules_baseline.h"
@@ -225,6 +226,29 @@ TEST(BackendTrait, Int8BitIdenticalAcrossBatchThreadShardGrid) {
 
 TEST(BackendTrait, FnnBitIdenticalAcrossBatchThreadShardGrid) {
   expect_bit_identical_across_knobs(Fixture::get().fnn, "fnn");
+}
+
+TEST(BackendTrait, FnnRejectsFrameWithShortQ) {
+  // size() reports the I channel only; a frame whose Q channel is shorter
+  // than the window must throw instead of being read past its end, on the
+  // per-shot path and on the engine's batched path alike.
+  const Fixture& fx = Fixture::get();
+  const IqTrace& full = fx.ds.shots.traces[0];
+  IqTrace ragged;
+  ragged.i = full.i;
+  ragged.q = std::vector<float>(full.q.begin(),
+                                full.q.begin() + full.q.size() / 2);
+  InferenceScratch scratch;
+  std::vector<int> out(fx.fnn.num_qubits());
+  EXPECT_THROW(fx.fnn.classify_into(ragged, scratch, out), Error);
+
+  std::vector<IqTrace> frames(fx.ds.shots.traces.begin(),
+                              fx.ds.shots.traces.begin() + 16);
+  frames[5] = ragged;
+  EngineConfig cfg;
+  cfg.threads = 1;  // One 16-shot group: the batched path serves it.
+  ReadoutEngine engine(make_backend(fx.fnn), cfg);
+  EXPECT_THROW(engine.process_batch(frames), Error);
 }
 
 // ---- the scored contract: same labels, confidence in (0, 1] -------------

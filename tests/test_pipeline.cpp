@@ -73,7 +73,6 @@ TEST(Pipeline, BatchSizeDoesNotChangeLabels) {
     streamed.insert(streamed.end(), one.labels.begin(), one.labels.end());
   }
   EXPECT_EQ(big.labels, streamed);
-  EXPECT_EQ(stream.total_shots(), traces.size());
 }
 
 TEST(Pipeline, ThreadCountDoesNotChangeLabels) {
@@ -241,13 +240,27 @@ TEST(Pipeline, RejectsMismatchedShotSet) {
   EXPECT_THROW(engine.process_batch(wrong, subset), Error);
 }
 
+TEST(Pipeline, RejectsOutOfRangeSubsetIndex) {
+  // A subset taken before the shot set shrank: its last index is now one
+  // past the end, where the vector's spare capacity still holds the
+  // removed trace's husk. Both indexed entry points must refuse it before
+  // classifying anything rather than read that slot.
+  const Fixture& fx = Fixture::get();
+  ShotSet shots = fx.ds.shots;
+  const std::size_t subset[] = {0, shots.size() - 1};
+  shots.traces.pop_back();
+  shots.labels.resize(shots.labels.size() - shots.n_qubits);
+  ReadoutEngine engine(make_backend(fx.proposed));
+  EXPECT_THROW(engine.process_batch(shots, subset), Error);
+  EXPECT_THROW(engine.evaluate(shots, subset), Error);
+}
+
 TEST(Pipeline, EmptyBatchIsWellFormed) {
   const Fixture& fx = Fixture::get();
   ReadoutEngine engine(make_backend(fx.proposed));
   const EngineBatch batch = engine.process_batch(std::span<const IqTrace>{});
   EXPECT_EQ(batch.n_shots, 0u);
   EXPECT_TRUE(batch.labels.empty());
-  EXPECT_EQ(engine.total_shots(), 0u);
 }
 
 }  // namespace

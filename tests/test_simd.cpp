@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfenv>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -462,8 +464,10 @@ TEST(Simd, Dot4MatchesSingleDots) {
                               simd::dot_f32(s.data(), b1.data(), n),
                               simd::dot_f32(s.data(), b2.data(), n),
                               simd::dot_f32(s.data(), b3.data(), n)};
+    // Row r runs dot_f32(shared, b_r)'s lane accumulation and reduction.
     for (int r = 0; r < 4; ++r)
-      EXPECT_NEAR(out[r], singles[r], 1e-4f * (std::abs(singles[r]) + 1.0f))
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out[r]),
+                std::bit_cast<std::uint32_t>(singles[r]))
           << "n=" << n << " r=" << r;
   }
 }
