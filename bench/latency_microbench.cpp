@@ -2,7 +2,8 @@
 // down-conversion, matched-filter scoring, per-qubit head inference, and
 // whole-shot classification for each design, plus the per-stage breakdown
 // of the float, int16 and int8 datapaths (front-end per shot and per block,
-// heads per shot and batched). (FPGA latency is modeled in fpga/latency.h;
+// heads per shot and batched). Front-end rows report `filters` and
+// `distinct_filters` (fused dot products actually run per shot). (FPGA latency is modeled in fpga/latency.h;
 // these numbers characterize the reference implementation.)
 //
 // Besides the console table, every run writes google-benchmark's JSON
@@ -144,6 +145,15 @@ void BM_EngineProcessBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineProcessBatch)->Arg(1)->Arg(64)->Arg(1024);
 
+/// Front-end size counters: filters per shot, and the fused dot products
+/// they cost (exact copies and negations of a kernel row share one).
+template <class Frontend>
+void set_frontend_counters(benchmark::State& state, const Frontend& fe) {
+  state.counters["filters"] = static_cast<double>(fe.n_filters());
+  state.counters["distinct_filters"] =
+      static_cast<double>(fe.distinct_filters());
+}
+
 // The fused float front-end in isolation (the stage the demod + MF pair
 // above used to form) — per-shot feature extraction on the SIMD kernels.
 void BM_FusedFrontendFeatures(benchmark::State& state) {
@@ -154,6 +164,7 @@ void BM_FusedFrontendFeatures(benchmark::State& state) {
     s.proposed.features_into(trace, scratch);
     benchmark::DoNotOptimize(scratch.features.data());
   }
+  set_frontend_counters(state, s.proposed.fused_frontend());
 }
 BENCHMARK(BM_FusedFrontendFeatures);
 
@@ -188,6 +199,24 @@ std::vector<const IqTrace*> stage_frames() {
   return frames;
 }
 
+// The fused float front-end over a block of shots (the batched path's
+// loop order); items = shots.
+void BM_FusedFrontendBlock(benchmark::State& state) {
+  const FusedFrontend& fe = BenchState::get().proposed.fused_frontend();
+  const std::vector<const IqTrace*> frames = stage_frames();
+  std::vector<float> feats(kStageBlock * fe.n_filters());
+  for (auto _ : state) {
+    fe.features_block_into(kStageBlock, frames.data(), feats.data(),
+                           fe.n_filters());
+    benchmark::DoNotOptimize(feats.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStageBlock));
+  set_frontend_counters(state, fe);
+}
+BENCHMARK(BM_FusedFrontendBlock);
+
 /// Feature codes of the stage frames, row-major kStageBlock x n_filters.
 template <class P>
 std::vector<std::int32_t> stage_features() {
@@ -210,6 +239,7 @@ void BM_IntFrontendShot(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  set_frontend_counters(state, fe);
 }
 BENCHMARK_TEMPLATE(BM_IntFrontendShot, Int16Path);
 BENCHMARK_TEMPLATE(BM_IntFrontendShot, Int8Path);
@@ -228,6 +258,7 @@ void BM_IntFrontendBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kStageBlock));
+  set_frontend_counters(state, fe);
 }
 BENCHMARK_TEMPLATE(BM_IntFrontendBlock, Int16Path);
 BENCHMARK_TEMPLATE(BM_IntFrontendBlock, Int8Path);

@@ -48,6 +48,7 @@ FusedFrontend FusedFrontend::build(const Demodulator& demod,
           -(mf.bias() + static_cast<double>(norm.mean()[j])) / std_dev));
     }
   }
+  fe.table_.finalize();
   return fe;
 }
 
@@ -84,14 +85,10 @@ void FusedFrontend::features_into(const IqTrace& trace,
   MLQR_CHECK_MSG(trace.size() >= n_samples_,
                  "trace shorter than front-end window: "
                      << trace.size() << " < " << n_samples_);
-  const float* xi = trace.i.data();
-  const float* xq = trace.q.data();
   scratch.features.resize(n_filters());
-  for (std::size_t f = 0; f < n_filters(); ++f) {
-    const float acc = table_.accumulate(f, xi, xq);
-    const float z = acc * scale_[f] + offset_[f];
-    scratch.features[f] = std::clamp(z, -kMaxAbsFeatureZ, kMaxAbsFeatureZ);
-  }
+  table_.scores(trace.i.data(), trace.q.data(), [&](std::size_t f, float acc) {
+    scratch.features[f] = feature(f, acc);
+  });
 }
 
 void FusedFrontend::features_block_into(std::size_t block,
@@ -109,24 +106,23 @@ void FusedFrontend::features_block_into(std::size_t block,
   constexpr std::size_t kShotBlock = 4;
   for (std::size_t b0 = 0; b0 < block; b0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, block - b0);
+    const float* xi[kShotBlock] = {};
+    const float* xq[kShotBlock] = {};
     for (std::size_t s = 0; s < nb; ++s) {
       const IqTrace& trace = *traces[b0 + s];
       trace.check_consistent();
       MLQR_CHECK_MSG(trace.size() >= n_samples_,
                      "trace shorter than front-end window: "
                          << trace.size() << " < " << n_samples_);
+      xi[s] = trace.i.data();
+      xq[s] = trace.q.data();
     }
-    for (std::size_t f = 0; f < n_filters(); ++f) {
-      for (std::size_t s = 0; s < nb; ++s) {
-        const IqTrace& trace = *traces[b0 + s];
-        // Identical per-(filter, shot) chain to features_into.
-        const float acc =
-            table_.accumulate(f, trace.i.data(), trace.q.data());
-        const float z = acc * scale_[f] + offset_[f];
-        out[(b0 + s) * out_stride + f] =
-            std::clamp(z, -kMaxAbsFeatureZ, kMaxAbsFeatureZ);
-      }
-    }
+    // Identical per-(filter, shot) score + affine chain to features_into.
+    float* block_out = out + b0 * out_stride;
+    table_.scores_block(
+        nb, xi, xq, [&](std::size_t f, std::size_t s, float acc) {
+          block_out[s * out_stride + f] = feature(f, acc);
+        });
   }
 }
 

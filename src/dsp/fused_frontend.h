@@ -23,6 +23,7 @@
 // path stays available as ProposedDiscriminator::features_into_reference).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <iosfwd>
 #include <vector>
@@ -68,6 +69,9 @@ class FusedFrontend {
 
   std::size_t n_samples() const { return n_samples_; }
   std::size_t n_filters() const { return scale_.size(); }
+  /// Fused dot products per shot: filters whose kernel rows are exact
+  /// copies or negations of another's share one (see FusedKernelTable).
+  std::size_t distinct_filters() const { return table_.distinct_rows(); }
   std::size_t num_qubits() const { return n_qubits_; }
 
   /// Binary little-endian persistence of the pre-rotated kernel tables and
@@ -77,6 +81,12 @@ class FusedFrontend {
   static FusedFrontend load(std::istream& is);
 
  private:
+  /// Filter f's normalized, winsorized feature from its fused score.
+  float feature(std::size_t f, float acc) const {
+    const float z = acc * scale_[f] + offset_[f];
+    return std::clamp(z, -kMaxAbsFeatureZ, kMaxAbsFeatureZ);
+  }
+
   std::size_t n_samples_ = 0;
   std::size_t n_qubits_ = 0;
   FusedKernelTable<float> table_;  ///< Pre-rotated kernel rows (SoA).

@@ -94,7 +94,7 @@ QuantizedFrontend QuantizedFrontend::build(const Demodulator& demod,
           -(mf.bias() + static_cast<double>(norm.mean()[j])) / std_dev);
     }
   }
-  fe.table_.finalize_strip();
+  fe.table_.finalize();
   return fe;
 }
 
@@ -176,18 +176,12 @@ void QuantizedFrontend::features_into(const IqTrace& trace,
   // exactly into one int64 per filter); the sum is exact, so the vector
   // reassociation is bit-identical to the scalar loop and the trailing
   // affine requant (double on an exactly-representable integer) is
-  // bit-deterministic.
-  const std::int16_t* xi = scratch.int_trace_i.data();
-  const std::int16_t* xq = scratch.int_trace_q.data();
+  // bit-deterministic. Each distinct kernel row runs once (scores()).
   scratch.int_features.resize(n_filters());
-  for (std::size_t f = 0; f < n_filters(); ++f) {
-    const std::int64_t acc = table_.accumulate(f, xi, xq);
-    double z = static_cast<double>(acc) * scale_[f] + offset_[f];
-    z = std::clamp(z, -static_cast<double>(kMaxAbsFeatureZ),
-                   static_cast<double>(kMaxAbsFeatureZ));
-    scratch.int_features[f] =
-        static_cast<std::int32_t>(to_code(z, feature_fmt_));
-  }
+  table_.scores(scratch.int_trace_i.data(), scratch.int_trace_q.data(),
+                [&](std::size_t f, std::int64_t acc) {
+                  scratch.int_features[f] = feature_code(f, acc);
+                });
 }
 
 void QuantizedFrontend::features_block_into(std::size_t block,
@@ -200,7 +194,7 @@ void QuantizedFrontend::features_block_into(std::size_t block,
   // Small shot blocks keep the quantized codes (2 x n int16 per shot) L1
   // resident while one kernel row pair streams across them; the full code
   // table then loads once per block of shots instead of once per shot.
-  constexpr std::size_t kShotBlock = 8;
+  constexpr std::size_t kShotBlock = decltype(table_)::kMaxShotBlock;
   scratch.block_trace_i.resize(kShotBlock * n);
   scratch.block_trace_q.resize(kShotBlock * n);
   const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
@@ -228,25 +222,24 @@ void QuantizedFrontend::features_block_into(std::size_t block,
       xi_ptr[s] = scratch.block_trace_i.data() + s * n;
       xq_ptr[s] = scratch.block_trace_q.data() + s * n;
     }
-    for (std::size_t f = 0; f < n_filters(); ++f) {
-      // One kernel-row pass scores four shots at a time (accumulate4,
-      // sharing every kernel-row load at any strip); the sums are exact,
-      // so every score — and the double requant below — is identical to
-      // the per-shot features_into chain.
-      std::int64_t accs[kShotBlock];
-      std::size_t s = 0;
-      for (; s + 4 <= nb; s += 4)
-        table_.accumulate4(f, xi_ptr + s, xq_ptr + s, accs + s);
-      for (; s < nb; ++s) accs[s] = table_.accumulate(f, xi_ptr[s], xq_ptr[s]);
-      for (s = 0; s < nb; ++s) {
-        double z = static_cast<double>(accs[s]) * scale_[f] + offset_[f];
-        z = std::clamp(z, -static_cast<double>(kMaxAbsFeatureZ),
-                       static_cast<double>(kMaxAbsFeatureZ));
-        out[(b0 + s) * out_stride + f] =
-            static_cast<std::int32_t>(to_code(z, feature_fmt_));
-      }
-    }
+    // One pass per distinct kernel row scores four shots at a time
+    // (accumulate4, sharing every kernel-row load at any strip); the sums
+    // are exact, so every score — and the double requant — is identical
+    // to the per-shot features_into chain.
+    std::int32_t* block_out = out + b0 * out_stride;
+    table_.scores_block(nb, xi_ptr, xq_ptr,
+                        [&](std::size_t f, std::size_t s, std::int64_t acc) {
+                          block_out[s * out_stride + f] = feature_code(f, acc);
+                        });
   }
+}
+
+std::int32_t QuantizedFrontend::feature_code(std::size_t f,
+                                             std::int64_t acc) const {
+  double z = static_cast<double>(acc) * scale_[f] + offset_[f];
+  z = std::clamp(z, -static_cast<double>(kMaxAbsFeatureZ),
+                 static_cast<double>(kMaxAbsFeatureZ));
+  return static_cast<std::int32_t>(to_code(z, feature_fmt_));
 }
 
 std::span<const std::int16_t> QuantizedFrontend::lo_table(

@@ -75,6 +75,9 @@ class QuantizedFrontend {
 
   std::size_t n_samples() const { return n_samples_; }
   std::size_t n_filters() const { return scale_.size(); }
+  /// Fused dot products per shot: filters whose kernel rows are exact
+  /// copies or negations of another's share one (see FusedKernelTable).
+  std::size_t distinct_filters() const { return table_.distinct_rows(); }
   std::size_t num_qubits() const { return n_qubits_; }
   const FixedPointFormat& trace_format() const { return trace_fmt_; }
   const FixedPointFormat& feature_format() const { return feature_fmt_; }
@@ -95,6 +98,9 @@ class QuantizedFrontend {
   static QuantizedFrontend load(std::istream& is);
 
  private:
+  /// Filter f's affine requant of its exact score onto feature_format().
+  std::int32_t feature_code(std::size_t f, std::int64_t acc) const;
+
   std::size_t n_samples_ = 0;
   std::size_t n_qubits_ = 0;
   FixedPointFormat trace_fmt_;

@@ -8,6 +8,11 @@
 //   EMF  6:0->1       7:0->2       8:1->2
 // Groups can be disabled (HERQULES uses QMF+RMF; the Table V "NN" ablation
 // uses QMF only), which shrinks the feature vector accordingly.
+// An RMF/EMF kernel with fewer than MfBankConfig::min_error_traces mined
+// traces falls back to the state-pair kernel build(from, to): bit for bit
+// the QMF kernel of that pair (EMF a->b copies QMF a|b) or its exact
+// negation (RMF b->a). The fused front-ends (dsp/fused_kernel_table.h)
+// detect such rows and compute each distinct one once per shot.
 #pragma once
 
 #include <array>

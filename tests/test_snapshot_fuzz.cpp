@@ -9,6 +9,9 @@
 // fuzz/fuzz_load_backend.cpp drives the same entry point coverage-guided.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -16,6 +19,10 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/fixed_point.h"
+#include "common/serialize.h"
+#include "dsp/fused_frontend.h"
+#include "dsp/quantized_frontend.h"
 #include "pipeline/snapshot.h"
 #include "readout/dataset.h"
 
@@ -258,6 +265,110 @@ TEST(SnapshotFuzz, BadMagicVersionAndGarbageError) {
     std::string garbage(pick_len(rng), '\0');
     for (char& c : garbage) c = static_cast<char>(pick_byte(rng));
     EXPECT_EQ(try_load(garbage), Outcome::kError) << "garbage trial " << trial;
+  }
+}
+
+/// One-sample kernel row k of the hostile front-ends below: the first
+/// half of the rows are (3, 100) or its negation, the second half are all
+/// distinct positive pairs (none equal to or negating another), so the
+/// table has 1 + rows/2 distinct rows.
+std::pair<int, int> hostile_row(std::size_t k, std::size_t rows) {
+  if (k < rows / 2) return k % 2 == 0 ? std::pair{3, 100} : std::pair{-3, -100};
+  const std::size_t i = k - rows / 2;
+  return {1 + static_cast<int>(i % 32000), 1 + static_cast<int>(i / 32000)};
+}
+
+/// Wall-clock seconds one call of `load` takes.
+template <typename Load>
+double timed_load(Load&& load) {
+  const auto t0 = std::chrono::steady_clock::now();
+  load();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(SnapshotFuzz, HostileFrontendRowDedupeIsNotQuadratic) {
+  // Row dedupe runs on every untrusted front-end load. 2^20 one-sample
+  // rows, half of them one row up to sign and half all distinct: comparing
+  // all pairs costs ~2^39 row comparisons and scanning the distinct rows
+  // so far ~2^37, minutes at best, while the hash-and-confirm pass makes
+  // at most one per row (well under a second in Release, a few seconds
+  // under the sanitizers). The 60 s bound separates the two.
+  constexpr double kMaxLoadSeconds = 60.0;
+  constexpr std::size_t kRows = std::size_t{1} << 20;
+  std::vector<float> fr(kRows), fi(kRows);
+  std::vector<std::int16_t> cr(kRows), ci(kRows);
+  for (std::size_t k = 0; k < kRows; ++k) {
+    const auto [re, im] = hostile_row(k, kRows);
+    fr[k] = static_cast<float>(re);
+    fi[k] = static_cast<float>(im);
+    cr[k] = static_cast<std::int16_t>(re);
+    ci[k] = static_cast<std::int16_t>(im);
+  }
+  const std::size_t probes[] = {0, 1, kRows / 2 - 1, kRows / 2,
+                                kRows / 2 + 40000, kRows - 1};
+
+  {
+    std::stringstream ss;
+    io::write_u64(ss, 1);  // samples
+    io::write_u64(ss, 1);  // qubits
+    io::write_vec_f32(ss, fr);
+    io::write_vec_f32(ss, fi);
+    io::write_vec_f32(ss, std::vector<float>(kRows, 1e-3f));  // scale
+    io::write_vec_f32(ss, std::vector<float>(kRows, 0.0f));   // offset
+    FusedFrontend fe;
+    EXPECT_LT(timed_load([&] { fe = FusedFrontend::load(ss); }),
+              kMaxLoadSeconds);
+    ASSERT_EQ(fe.n_filters(), kRows);
+    EXPECT_EQ(fe.distinct_filters(), 1 + kRows / 2);
+    IqTrace trace(1);
+    trace.i[0] = 2.0f;
+    trace.q[0] = 0.5f;
+    InferenceScratch scratch;
+    fe.features_into(trace, scratch);
+    for (std::size_t f : probes) {
+      const float acc = 0.0f + (fr[f] * 2.0f - fi[f] * 0.5f);
+      EXPECT_EQ(scratch.features[f],
+                std::clamp(acc * 1e-3f + 0.0f, -kMaxAbsFeatureZ,
+                           kMaxAbsFeatureZ))
+          << "filter " << f;
+    }
+  }
+  {
+    const FixedPointFormat feature_fmt{32, 16};
+    std::stringstream ss;
+    io::write_u64(ss, 1);  // samples
+    io::write_u64(ss, 1);  // qubits
+    save_format(ss, FixedPointFormat{16, 10});  // trace grid
+    save_format(ss, feature_fmt);
+    save_format(ss, FixedPointFormat{16, 14});  // LO grid
+    io::write_u64(ss, kRows);
+    for (std::size_t f = 0; f < kRows; ++f)
+      save_format(ss, FixedPointFormat{16, 15});
+    io::write_vec_int(ss, cr);
+    io::write_vec_int(ss, ci);
+    io::write_vec_f64(ss, std::vector<double>(kRows, std::ldexp(1.0, -24)));
+    io::write_vec_f64(ss, std::vector<double>(kRows, 0.0));
+    io::write_vec_int(ss, std::vector<std::int16_t>(2, 0));
+    QuantizedFrontend fe;
+    EXPECT_LT(timed_load([&] { fe = QuantizedFrontend::load(ss); }),
+              kMaxLoadSeconds);
+    ASSERT_EQ(fe.n_filters(), kRows);
+    EXPECT_EQ(fe.distinct_filters(), 1 + kRows / 2);
+    IqTrace trace(1);
+    trace.i[0] = 2.0f;  // code 2048 on the <16,10> grid
+    trace.q[0] = 0.5f;  // code 512
+    InferenceScratch scratch;
+    fe.features_into(trace, scratch);
+    for (std::size_t f : probes) {
+      const std::int64_t acc =
+          std::int64_t{cr[f]} * 2048 - std::int64_t{ci[f]} * 512;
+      const double z = std::clamp(static_cast<double>(acc) * std::ldexp(1.0, -24),
+                                  -static_cast<double>(kMaxAbsFeatureZ),
+                                  static_cast<double>(kMaxAbsFeatureZ));
+      EXPECT_EQ(scratch.int_features[f], to_code(z, feature_fmt))
+          << "filter " << f;
+    }
   }
 }
 
