@@ -130,10 +130,10 @@ ConfigResult run_config(const EngineBackend& backend, std::size_t shards,
   ConfigResult r;
   r.target_rate = rate;
   r.achieved_rate = wall > 0.0 ? static_cast<double>(total) / wall : 0.0;
-  r.mean_batch = engine.batches_dispatched() > 0
-                     ? static_cast<double>(total) /
-                           static_cast<double>(engine.batches_dispatched())
-                     : 0.0;
+  const std::uint64_t batches = engine.stats().batches;
+  r.mean_batch = batches > 0 ? static_cast<double>(total) /
+                                   static_cast<double>(batches)
+                             : 0.0;
   r.lat = summarize_latency(std::move(micros));
   return r;
 }
@@ -227,7 +227,7 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
       submitted[accepted] = Clock::now();
       if (engine
               .submit_for(frames[accepted % frames.size()],
-                          std::chrono::microseconds(2000))
+                          {.timeout = std::chrono::microseconds(2000)})
               .has_value()) {
         ++accepted;
         n_submitted.store(accepted, std::memory_order_release);
@@ -655,8 +655,10 @@ int run_drift_soak(const SoakOptions& opt) {
       // Bounded-blocking admission proves ingest never pauses (the gate
       // below requires zero rejections even across retrains and swaps).
       if (engine
-              .submit_reference_for(pool.frames[shot], key++, truth,
-                                    std::chrono::microseconds(100000))
+              .submit_for(pool.frames[shot],
+                          {.key = key++,
+                           .expected = truth,
+                           .timeout = std::chrono::microseconds(100000)})
               .has_value()) {
         controller.reservoir().push(pool.frames[shot], truth);
         ++accepted;

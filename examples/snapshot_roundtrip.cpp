@@ -175,9 +175,10 @@ int main(int argc, char** argv) {
   engine.drain();
   std::vector<int> labels(engine.num_qubits());
   for (const auto t : tickets) engine.wait(t, labels);
-  std::cout << "[snapshot] hot swap: " << engine.shots_completed()
-            << " shots served across " << engine.batches_dispatched()
-            << " micro-batches, " << engine.shards_swapped()
+  const StreamingStats st = engine.stats();
+  std::cout << "[snapshot] hot swap: " << st.completed
+            << " shots served across " << st.batches
+            << " micro-batches, " << st.swaps
             << " shard swaps, zero dropped tickets\n"
             << "\nServe these calibrations in the benches with:\n"
             << "  MLQR_SNAPSHOT=calibration ./pipeline_throughput\n";

@@ -1,7 +1,6 @@
 #include "pipeline/streaming_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/error.h"
@@ -9,12 +8,33 @@
 namespace mlqr {
 
 namespace {
-using Clock = std::chrono::steady_clock;
+
+/// now + timeout, saturating at the clock's end instead of overflowing its
+/// nanosecond count (microseconds::max() means "wait indefinitely").
+/// timeout <= 0 yields the epoch: any wait on it times out at once.
+std::chrono::steady_clock::time_point deadline_after(
+    std::chrono::microseconds timeout) {
+  using TimePoint = std::chrono::steady_clock::time_point;
+  if (timeout.count() <= 0) return TimePoint{};
+  const TimePoint now = std::chrono::steady_clock::now();
+  if (timeout >= std::chrono::duration_cast<std::chrono::microseconds>(
+                     TimePoint::max() - now))
+    return TimePoint::max();
+  return now + timeout;
+}
+
 }  // namespace
 
 StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
                                  StreamingConfig cfg)
-    : cfg_(cfg), core_(cfg.engine), shards_(std::move(shards)) {
+    : cfg_(cfg),
+      fallback_(cfg.fallback),
+      core_(cfg.engine),
+      shards_(std::move(shards)),
+      breaker_(shards_.size(), cfg.quarantine_after,
+               std::chrono::microseconds(cfg.probe_backoff_us),
+               cfg.probe_shots, cfg.fallback.valid()),
+      drift_(shards_.size(), cfg.drift) {
   MLQR_CHECK_MSG(!shards_.empty(), "streaming engine needs >= 1 shard");
   for (const EngineBackend& s : shards_) {
     MLQR_CHECK_MSG(s.valid(), "streaming engine got an invalid shard");
@@ -26,26 +46,19 @@ StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
   }
   n_qubits_ = shards_.front().num_qubits();
   shards_count_ = shards_.size();
-  fallback_ = cfg_.fallback;
   if (fallback_.valid()) {
     MLQR_CHECK_MSG(fallback_.num_qubits() == n_qubits_,
                    "fallback backend reports " << fallback_.num_qubits()
                        << " qubits, shards serve " << n_qubits_);
   }
+  // config() reports the effective values the ring and both policies use.
   cfg_.queue_capacity = std::max<std::size_t>(cfg_.queue_capacity, 1);
   cfg_.batch_max =
       std::clamp<std::size_t>(cfg_.batch_max, 1, cfg_.queue_capacity);
   cfg_.probe_shots = std::max<std::size_t>(cfg_.probe_shots, 1);
-  cfg_.drift.alpha = std::clamp(cfg_.drift.alpha, 1e-6, 1.0);
-  cfg_.drift.baseline_shots = std::max<std::size_t>(cfg_.drift.baseline_shots, 1);
-  cfg_.drift.baseline_signal =
-      std::max<std::size_t>(cfg_.drift.baseline_signal, 1);
-  cfg_.drift.confidence_sample =
-      std::max<std::size_t>(cfg_.drift.confidence_sample, 1);
+  cfg_.drift = drift_.config();
   ring_.resize(cfg_.queue_capacity);
   for (Slot& s : ring_) s.labels.assign(n_qubits_, 0);
-  health_.assign(shards_.size(), ShardState{});
-  drift_.assign(shards_.size(), DriftMonitor{});
   score_counter_.assign(shards_.size(), 0);
   drift_labels_.assign(n_qubits_, 0);
   batch_tickets_.reserve(cfg_.batch_max);
@@ -56,10 +69,7 @@ StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
 
 StreamingEngine::StreamingEngine(const EngineBackend& backend,
                                  std::size_t n_shards, StreamingConfig cfg)
-    : StreamingEngine(
-          std::vector<EngineBackend>(std::max<std::size_t>(n_shards, 1),
-                                     backend),
-          cfg) {}
+    : StreamingEngine(std::vector<EngineBackend>(n_shards, backend), cfg) {}
 
 StreamingEngine::~StreamingEngine() {
   {
@@ -72,85 +82,38 @@ StreamingEngine::~StreamingEngine() {
 
 StreamingEngine::Ticket StreamingEngine::submit(const IqTrace& frame) {
   // Blocking admission never rejects, so the optional is always engaged.
-  return *submit_routed(frame, /*keyed=*/false, 0, /*expected=*/nullptr,
-                        /*deadline=*/nullptr);
+  return *submit_routed(frame, {}, /*reference=*/false, /*deadline=*/nullptr);
 }
 
 StreamingEngine::Ticket StreamingEngine::submit(const IqTrace& frame,
                                                 std::uint64_t channel_key) {
-  return *submit_routed(frame, /*keyed=*/true, channel_key,
-                        /*expected=*/nullptr, /*deadline=*/nullptr);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::try_submit(
-    const IqTrace& frame) {
-  const TimePoint expired{};  // Epoch: any wait times out immediately.
-  return submit_routed(frame, /*keyed=*/false, 0, /*expected=*/nullptr,
-                       &expired);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::try_submit(
-    const IqTrace& frame, std::uint64_t channel_key) {
-  const TimePoint expired{};
-  return submit_routed(frame, /*keyed=*/true, channel_key,
-                       /*expected=*/nullptr, &expired);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::submit_for(
-    const IqTrace& frame, std::chrono::microseconds timeout) {
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
-  return submit_routed(frame, /*keyed=*/false, 0, /*expected=*/nullptr,
-                       &deadline);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::submit_for(
-    const IqTrace& frame, std::uint64_t channel_key,
-    std::chrono::microseconds timeout) {
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
-  return submit_routed(frame, /*keyed=*/true, channel_key,
-                       /*expected=*/nullptr, &deadline);
-}
-
-StreamingEngine::Ticket StreamingEngine::submit_reference(
-    const IqTrace& frame, std::span<const int> expected) {
-  MLQR_CHECK_MSG(expected.size() == n_qubits_,
-                 "submit_reference expected-label span has "
-                     << expected.size() << " entries, engine serves "
-                     << n_qubits_ << " qubits");
-  return *submit_routed(frame, /*keyed=*/false, 0, expected.data(),
+  return *submit_routed(frame, {.key = channel_key}, /*reference=*/false,
                         /*deadline=*/nullptr);
 }
 
 StreamingEngine::Ticket StreamingEngine::submit_reference(
     const IqTrace& frame, std::uint64_t channel_key,
     std::span<const int> expected) {
-  MLQR_CHECK_MSG(expected.size() == n_qubits_,
-                 "submit_reference expected-label span has "
-                     << expected.size() << " entries, engine serves "
-                     << n_qubits_ << " qubits");
-  return *submit_routed(frame, /*keyed=*/true, channel_key, expected.data(),
-                        /*deadline=*/nullptr);
+  return *submit_routed(frame, {.key = channel_key, .expected = expected},
+                        /*reference=*/true, /*deadline=*/nullptr);
 }
 
-std::optional<StreamingEngine::Ticket> StreamingEngine::submit_reference_for(
-    const IqTrace& frame, std::uint64_t channel_key,
-    std::span<const int> expected, std::chrono::microseconds timeout) {
-  MLQR_CHECK_MSG(expected.size() == n_qubits_,
-                 "submit_reference expected-label span has "
-                     << expected.size() << " entries, engine serves "
-                     << n_qubits_ << " qubits");
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
-  return submit_routed(frame, /*keyed=*/true, channel_key, expected.data(),
+std::optional<StreamingEngine::Ticket> StreamingEngine::submit_for(
+    const IqTrace& frame, SubmitOptions opts) {
+  const TimePoint deadline = deadline_after(opts.timeout);
+  return submit_routed(frame, opts, /*reference=*/!opts.expected.empty(),
                        &deadline);
 }
 
 std::optional<StreamingEngine::Ticket> StreamingEngine::submit_routed(
-    const IqTrace& frame, bool keyed, std::uint64_t key, const int* expected,
+    const IqTrace& frame, const SubmitOptions& opts, bool reference,
     const TimePoint* deadline) {
   frame.check_consistent();
+  if (reference)
+    MLQR_CHECK_MSG(opts.expected.size() == n_qubits_,
+                   "submit_reference expected-label span has "
+                       << opts.expected.size() << " entries, engine serves "
+                       << n_qubits_ << " qubits");
   MutexLock lock(mutex_);
   // Backpressure: the next ticket's slot must have been consumed by wait().
   while (slot_of(next_ticket_).state != SlotState::kFree) {
@@ -166,8 +129,7 @@ std::optional<StreamingEngine::Ticket> StreamingEngine::submit_routed(
   Slot& slot = slot_of(t);
   slot.state = SlotState::kReserved;
   slot.ticket = t;
-  slot.shard = keyed ? static_cast<std::size_t>(key % shards_.size())
-                     : static_cast<std::size_t>(t % shards_.size());
+  slot.shard = static_cast<std::size_t>(opts.key.value_or(t) % shards_.size());
   lock.unlock();
   // Copy outside the lock: concurrent producers fill distinct slots in
   // parallel (the kReserved custody hand-off — see Slot). assign() reuses
@@ -175,8 +137,9 @@ std::optional<StreamingEngine::Ticket> StreamingEngine::submit_routed(
   // of this length.
   slot.frame.i.assign(frame.i.begin(), frame.i.end());
   slot.frame.q.assign(frame.q.begin(), frame.q.end());
-  slot.is_reference = expected != nullptr;
-  if (expected) slot.expected.assign(expected, expected + n_qubits_);
+  slot.is_reference = reference;
+  if (reference)
+    slot.expected.assign(opts.expected.begin(), opts.expected.end());
   slot.arrival = Clock::now();
   lock.lock();
   slot.state = SlotState::kQueued;
@@ -205,172 +168,9 @@ void StreamingEngine::extend_queued_run() {
   }
 }
 
-std::size_t StreamingEngine::route_shot(Slot& slot, TimePoint now) {
-  slot.probe = false;
-  slot.served_by = slot.shard;
-  if (cfg_.quarantine_after == 0) return slot.served_by;  // Breaker off.
-  ShardState& st = health_[slot.shard];
-  if (!st.quarantined) return slot.served_by;
-  // Half-open probe: once the back-off has elapsed, let a bounded number
-  // of live shots test the shard (the first success re-admits it).
-  if (now >= st.retry_at && st.probe_in_flight < cfg_.probe_shots) {
-    ++st.probe_in_flight;
-    ++probes_;
-    slot.probe = true;
-    return slot.served_by;
-  }
-  // Quarantined: divert to the next healthy shard (deterministic scan
-  // order keeps rerouting reproducible for a given failure pattern).
-  for (std::size_t k = 1; k < shards_.size(); ++k) {
-    const std::size_t cand = (slot.shard + k) % shards_.size();
-    if (!health_[cand].quarantined) {
-      slot.served_by = cand;
-      ++rerouted_;
-      return slot.served_by;
-    }
-  }
-  if (fallback_.valid()) {
-    slot.served_by = kFallbackShard;
-    ++rerouted_;
-    return slot.served_by;
-  }
-  // Every shard quarantined and no fallback: last resort, serve on the
-  // target anyway — a success recovers it, a failure restarts its
-  // back-off, and either way the ticket resolves instead of stranding.
-  return slot.served_by;
-}
-
-void StreamingEngine::record_shot_result(const Slot& slot, bool shot_failed,
-                                         TimePoint now) {
-  if (cfg_.quarantine_after == 0 || slot.served_by == kFallbackShard) return;
-  ShardState& st = health_[slot.served_by];
-  if (slot.probe && st.probe_in_flight > 0) --st.probe_in_flight;
-  if (shot_failed) {
-    if (!st.quarantined) {
-      if (++st.consecutive_failures >= cfg_.quarantine_after) {
-        st.quarantined = true;
-        ++quarantines_;
-        st.retry_at = now + std::chrono::microseconds(cfg_.probe_backoff_us);
-      }
-    } else {
-      // A failed probe (or last-resort traffic on an all-quarantined
-      // engine): stay quarantined and restart the back-off window.
-      st.retry_at = now + std::chrono::microseconds(cfg_.probe_backoff_us);
-    }
-  } else {
-    st.consecutive_failures = 0;
-    if (st.quarantined) {
-      // Any success on a quarantined shard — probe or last-resort — means
-      // it is serving correct labels again: re-admit it.
-      st.quarantined = false;
-      ++recoveries_;
-    }
-  }
-}
-
-void StreamingEngine::SignalTrack::update(double x, std::size_t baseline_n,
-                                          double alpha) {
-  ++count;
-  if (!frozen) {
-    // Baseline phase: plain mean over the first baseline_n samples, then
-    // freeze and seed the EWMA from it so the first post-baseline report
-    // starts exactly at "no drift".
-    baseline_sum += x;
-    if (count >= baseline_n) {
-      baseline = baseline_sum / static_cast<double>(count);
-      value = baseline;
-      frozen = true;
-    }
-  } else {
-    value = (1.0 - alpha) * value + alpha * x;
-  }
-}
-
-void StreamingEngine::observe_ok_shot(const Slot& slot, float conf) {
-  const DriftConfig& dc = cfg_.drift;
-  DriftMonitor& m = drift_[slot.served_by];
-  ++m.samples;
-
-  // Label mix: this shot's per-level occupancy, averaged over qubits so
-  // every shot contributes unit mass regardless of register width.
-  std::array<double, kDriftLabelBins> frac{};
-  const double w = 1.0 / static_cast<double>(slot.labels.size());
-  for (const int l : slot.labels)
-    frac[static_cast<std::size_t>(
-        std::clamp<int>(l, 0, static_cast<int>(kDriftLabelBins) - 1))] += w;
-  ++m.label_count;
-  if (!m.label_frozen) {
-    for (std::size_t i = 0; i < kDriftLabelBins; ++i)
-      m.label_base_sum[i] += frac[i];
-    if (m.label_count >= dc.baseline_shots) {
-      for (std::size_t i = 0; i < kDriftLabelBins; ++i) {
-        m.label_base[i] =
-            m.label_base_sum[i] / static_cast<double>(m.label_count);
-        m.label_ewma[i] = m.label_base[i];
-      }
-      m.label_frozen = true;
-    }
-  } else {
-    for (std::size_t i = 0; i < kDriftLabelBins; ++i)
-      m.label_ewma[i] = (1.0 - dc.alpha) * m.label_ewma[i] + dc.alpha * frac[i];
-  }
-
-  if (conf >= 0.0f) {
-    ++m.scored;
-    ++scored_shots_;
-    m.confidence.update(conf, dc.baseline_signal, dc.alpha);
-  }
-
-  if (slot.is_reference) {
-    ++m.reference;
-    ++reference_shots_;
-    std::size_t match = 0;
-    for (std::size_t q = 0; q < slot.labels.size(); ++q)
-      if (slot.labels[q] == slot.expected[q]) ++match;
-    m.fidelity.update(
-        static_cast<double>(match) / static_cast<double>(slot.labels.size()),
-        dc.baseline_signal, dc.alpha);
-  }
-}
-
-DriftReport StreamingEngine::report_of(const DriftMonitor& m) const {
-  const DriftConfig& dc = cfg_.drift;
-  DriftReport r;
-  r.samples = m.samples;
-  r.scored = m.scored;
-  r.reference = m.reference;
-  if (m.confidence.frozen) {
-    r.confidence = m.confidence.value;
-    r.baseline_confidence = m.confidence.baseline;
-  }
-  if (m.fidelity.frozen) {
-    r.fidelity = m.fidelity.value;
-    r.baseline_fidelity = m.fidelity.baseline;
-  }
-  if (m.label_frozen)
-    for (std::size_t i = 0; i < kDriftLabelBins; ++i)
-      r.label_l1 += std::abs(m.label_ewma[i] - m.label_base[i]);
-  r.ready = dc.enabled && m.samples >= dc.min_samples &&
-            (m.confidence.frozen || m.fidelity.frozen || m.label_frozen);
-  if (!r.ready) return r;
-  const bool conf_drift =
-      m.confidence.frozen &&
-      r.confidence < r.baseline_confidence * (1.0 - dc.confidence_drop);
-  const bool fid_drift =
-      m.fidelity.frozen &&
-      (r.fidelity < r.baseline_fidelity - dc.fidelity_drop ||
-       (dc.min_fidelity > 0.0 && r.fidelity < dc.min_fidelity));
-  const bool label_drift = m.label_frozen && r.label_l1 > dc.label_l1;
-  r.drifted = conf_drift || fid_drift || label_drift;
-  return r;
-}
-
 DriftReport StreamingEngine::drift(std::size_t shard) const {
   MutexLock lock(mutex_);
-  MLQR_CHECK_MSG(shard < drift_.size(),
-                 "drift index " << shard << " out of range (engine has "
-                                << drift_.size() << " shards)");
-  return report_of(drift_[shard]);
+  return drift_.report(shard);
 }
 
 void StreamingEngine::dispatch_loop() {
@@ -413,12 +213,12 @@ void StreamingEngine::dispatch_loop() {
         slot.state = SlotState::kDone;
         slot.outcome = SlotOutcome::kShed;
         slot.error = nullptr;
-        ++shed_;
-        ++completed_;
+        ++counts_.shed;
+        ++counts_.completed;
         any_shed = true;
       } else {
         slot.state = SlotState::kInFlight;
-        route_shot(slot, claim_now);
+        slot.route = breaker_.route(slot.shard, claim_now);
         batch_tickets_.push_back(t0 + i);
       }
     }
@@ -459,8 +259,8 @@ void StreamingEngine::dispatch_loop() {
           [ring, cap, shards, fallback,
            tickets](std::size_t s) -> const EngineBackend& {
             const Slot& slot = ring[tickets[s] % cap];
-            return slot.served_by == kFallbackShard ? *fallback
-                                                    : shards[slot.served_by];
+            const std::size_t sb = slot.route.served_by;
+            return sb == ShardBreaker::kFallback ? *fallback : shards[sb];
           },
           [ring, cap, tickets](std::size_t s) -> std::span<int> {
             Slot& slot = ring[tickets[s] % cap];
@@ -482,8 +282,8 @@ void StreamingEngine::dispatch_loop() {
       for (std::size_t s = 0; s < b; ++s) {
         if (errors[s]) continue;
         const Slot& slot = ring[tickets[s] % cap];
-        const std::size_t sb = slot.served_by;
-        if (sb == kFallbackShard) continue;
+        const std::size_t sb = slot.route.served_by;
+        if (sb == ShardBreaker::kFallback) continue;
         if (score_counter_[sb]++ % cfg_.drift.confidence_sample != 0) continue;
         if (!shards[sb].supports_scored()) continue;
         try {
@@ -507,19 +307,22 @@ void StreamingEngine::dispatch_loop() {
       if (err) {
         slot.outcome = SlotOutcome::kFailed;
         slot.error = err;
-        ++failed_total_;
+        ++counts_.failed;
         ++failed_unconsumed_;
         if (!first_error_) first_error_ = err;
       } else {
         slot.outcome = SlotOutcome::kOk;
         slot.error = nullptr;
-        if (cfg_.drift.enabled && slot.served_by != kFallbackShard)
-          observe_ok_shot(slot, batch_conf_[s]);
+        if (slot.route.served_by != ShardBreaker::kFallback)
+          drift_.observe(slot.route.served_by, slot.labels, batch_conf_[s],
+                         slot.is_reference ? std::span<const int>(slot.expected)
+                                           : std::span<const int>());
       }
-      record_shot_result(slot, static_cast<bool>(err), done_now);
+      breaker_.record(slot.route.served_by, slot.route.probe,
+                      static_cast<bool>(err), done_now);
     }
-    completed_ += b;
-    ++batches_;
+    counts_.completed += b;
+    ++counts_.batches;
     done_cv_.notify_all();
     // Wake a swapper (or producers racing the swap gate) parked on
     // work_cv_ — done_cv_ only covers wait()/drain().
@@ -605,20 +408,13 @@ void StreamingEngine::wait(Ticket t, std::span<int> out) {
                 "that expect shedding should use wait_result()");
 }
 
-std::vector<int> StreamingEngine::wait(Ticket t) {
-  std::vector<int> out(n_qubits_, 0);
-  wait(t, out);
-  return out;
-}
-
 ShotStatus StreamingEngine::wait_result(Ticket t, std::span<int> out) {
   return wait_impl(t, out, /*deadline=*/nullptr, /*error=*/nullptr);
 }
 
 ShotStatus StreamingEngine::wait_for(Ticket t, std::span<int> out,
                                      std::chrono::microseconds timeout) {
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
+  const TimePoint deadline = deadline_after(timeout);
   return wait_impl(t, out, &deadline, /*error=*/nullptr);
 }
 
@@ -629,7 +425,7 @@ void StreamingEngine::drain() {
   // the micro-batch deadline.
   flush_ = std::max(flush_, target);
   work_cv_.notify_all();
-  while (completed_ < target) done_cv_.wait(mutex_);
+  while (counts_.completed < target) done_cv_.wait(mutex_);
   // Surface classify failures to flush-and-check callers that never wait
   // individual tickets. The failed tickets stay retrievable: each wait()
   // still rethrows, and once all are consumed drain() goes quiet again.
@@ -657,9 +453,9 @@ void StreamingEngine::swap_shard(std::size_t shard, EngineBackend backend) {
   // only live while dispatching_ is true). The drift monitor resets too —
   // the new backend earns its own baselines (score_counter_ is untouched:
   // it is dispatcher-only sampling phase, not monitor state).
-  health_[shard] = ShardState{};
-  drift_[shard] = DriftMonitor{};
-  ++swaps_;
+  breaker_.reset(shard);
+  drift_.reset(shard);
+  ++counts_.swaps;
   --swaps_pending_;
   lock.unlock();
   work_cv_.notify_all();  // Release the dispatcher's swap gate.
@@ -667,34 +463,17 @@ void StreamingEngine::swap_shard(std::size_t shard, EngineBackend backend) {
 
 ShardHealth StreamingEngine::shard_health(std::size_t shard) const {
   MutexLock lock(mutex_);
-  MLQR_CHECK_MSG(shard < health_.size(),
-                 "shard_health index " << shard << " out of range (engine has "
-                                       << health_.size() << " shards)");
-  const ShardState& st = health_[shard];
-  if (!st.quarantined) return ShardHealth::kHealthy;
-  return st.probe_in_flight > 0 ? ShardHealth::kProbing
-                                : ShardHealth::kQuarantined;
+  return breaker_.health(shard);
 }
 
 StreamingStats StreamingEngine::stats() const {
   MutexLock lock(mutex_);
-  StreamingStats s;
+  StreamingStats s = counts_;
+  static_cast<BreakerCounts&>(s) = breaker_.counts();
+  static_cast<DriftCounts&>(s) = drift_.counts();
   s.submitted = next_ticket_;
-  s.completed = completed_;
-  s.failed = failed_total_;
-  s.shed = shed_;
-  s.batches = batches_;
-  s.swaps = swaps_;
-  s.rerouted = rerouted_;
-  s.quarantines = quarantines_;
-  s.probes = probes_;
-  s.recoveries = recoveries_;
-  s.reference_shots = reference_shots_;
-  s.scored_shots = scored_shots_;
-  for (const ShardState& st : health_)
-    if (st.quarantined) ++s.shards_quarantined;
-  for (const DriftMonitor& m : drift_)
-    if (report_of(m).drifted) ++s.shards_drifted;
+  s.shards_quarantined = breaker_.quarantined_shards();
+  s.shards_drifted = drift_.drifted_shards();
   return s;
 }
 

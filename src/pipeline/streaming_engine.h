@@ -7,18 +7,33 @@
 // feedlines deliver a steady trickle of single shots from several
 // producers, throughput comes from overlapping ingest with
 // classification, and the serving chain drifts and faults continuously.
-// StreamingEngine provides that shape:
+// StreamingEngine provides that shape. It is the ticket ring and the
+// dispatcher; the two policies it consults are pure parts of their own:
 //
-//   * It owns N EngineBackend shards (e.g. one discriminator per
+//   * pipeline/shard_breaker.h — ShardBreaker, the per-shard circuit
+//     breaker: claim-time routing (reroute, half-open probes, fallback,
+//     last resort) and completion-time health bookkeeping.
+//   * pipeline/drift_monitor.h — DriftMonitor, the per-shard baseline +
+//     EWMA trackers over served labels, sampled confidence and
+//     reference-shot fidelity (DriftConfig, DriftReport).
+//
+// Neither holds a lock or reads a clock: the engine drives both under its
+// mutex and passes the time in, and tests drive them directly.
+//
+// The engine itself:
+//   * owns N EngineBackend shards (e.g. one discriminator per
 //     feedline/chip). Shots route round-robin by default or by an explicit
 //     channel key (key % shards), so a multi-feedline fan-in keeps each
 //     feedline's calibration on its own shard.
-//   * Producers call submit(frame) -> Ticket. Frames land in a bounded
-//     ring (StreamingConfig::queue_capacity); when the ring is full,
-//     submit blocks — backpressure, not unbounded memory. try_submit()
-//     rejects instead of blocking and submit_for() blocks with a bound,
-//     so admission control can live in the caller when blocking is not
-//     an option (a QEC control loop cannot stall its cycle).
+//   * Admission: submit(frame[, key]) -> Ticket copies the frame into a
+//     bounded ring (StreamingConfig::queue_capacity) and blocks while it is
+//     full — backpressure, not unbounded memory. submit_reference() also
+//     tags the shot with known labels for the fidelity monitor.
+//     submit_for(frame, SubmitOptions) takes the same key / reference
+//     options plus a timeout and rejects (nullopt) once it elapses; a zero
+//     timeout rejects at once, so admission control can live in the
+//     caller when blocking is not an option (a QEC control loop cannot
+//     stall its cycle).
 //   * A resident dispatcher thread micro-batches ingest: it launches a
 //     classification batch once batch_max frames are pending or
 //     deadline_us has elapsed since the oldest pending frame arrived,
@@ -27,46 +42,29 @@
 //     InferenceScratch) as process_batch, so labels are bit-identical to
 //     the synchronous path for the same frames, regardless of shard count,
 //     thread count, or micro-batch boundaries.
-//   * Load shedding: with shot_deadline_us set, the dispatcher never
-//     wastes classifier time on a frame that is already too stale to
-//     matter (a QEC label after the cycle deadline is as useless as a
-//     wrong one). Stale tickets complete immediately with
-//     ShotStatus::kShed — reported, never silently dropped — and the
-//     backlog drains at shed speed instead of classify speed.
-//   * wait(ticket) blocks until that shot's labels are ready and releases
-//     its ring slot; wait_result(ticket) is the non-throwing variant that
-//     reports ShotStatus (done/failed/shed), wait_for(ticket, timeout)
-//     additionally bounds the block (kTimedOut leaves the ticket
-//     consumable later). drain() blocks until everything submitted so far
-//     has resolved. Tickets complete in arbitrary shard order but every
-//     ticket is individually awaitable (out-of-order completion is pinned
-//     by tests/test_streaming.cpp). Every submitted ticket resolves to
-//     exactly one of done / failed / shed — none are ever lost.
+//   * Load shedding: with shot_deadline_us set, a frame already too stale
+//     to matter at claim time completes immediately with ShotStatus::kShed
+//     — reported, never silently dropped — and the backlog drains at shed
+//     speed instead of classify speed.
+//   * wait(ticket, out) blocks until that shot's labels are ready and
+//     releases its ring slot; wait_result(ticket, out) is the non-throwing
+//     variant that reports ShotStatus (done/failed/shed), and
+//     wait_for(ticket, out, timeout) additionally bounds the block
+//     (kTimedOut leaves the ticket consumable later). drain() blocks until
+//     everything submitted so far has resolved. Tickets complete in
+//     arbitrary shard order but every ticket is individually awaitable;
+//     every submitted ticket resolves to exactly one of done / failed /
+//     shed — none are ever lost.
 //   * A backend that throws does not kill the engine: per-shot failure
-//     capture marks exactly the throwing shots failed (wait() rethrows
-//     the stored exception per ticket, drain() surfaces it while failed
-//     tickets remain unconsumed) and the dispatcher keeps serving.
-//   * Shard health: with quarantine_after set, a shard that fails that
-//     many consecutive shots is quarantined — its traffic reroutes to the
-//     next healthy shard (or the optional fallback backend) within one
-//     micro-batch. After probe_backoff_us a half-open probe routes up to
-//     probe_shots live shots back; the first success re-admits the shard,
-//     a failure restarts the back-off. swap_shard on a quarantined shard
-//     resets it to healthy immediately (fresh calibration, fresh health —
-//     the hook a drift-recalibration loop needs).
+//     capture marks exactly the throwing shots failed (wait() rethrows the
+//     stored exception per ticket, drain() surfaces it while failed
+//     tickets remain unconsumed), the breaker counts it, and the
+//     dispatcher keeps serving.
 //   * swap_shard(shard, backend) hot-swaps one shard's calibration between
 //     micro-batches — the drift-recalibration path (typically fed by a
-//     pipeline/snapshot.h BackendSnapshot) — without dropping or
-//     rerouting tickets.
-//   * Drift monitoring (StreamingConfig::drift): each shard tracks a
-//     frozen baseline plus an EWMA of three passive signals — sampled
-//     softmax confidence (on backends that support scoring), live
-//     fidelity of interleaved submit_reference() shots against their
-//     known expected labels, and the served label mix. drift(shard)
-//     snapshots them as a DriftReport; a recalibration controller
-//     (pipeline/recalibration.h) closes the loop by retraining and
-//     swap_shard-ing flagged shards. Monitoring never alters routing,
-//     labels, or ticket outcomes.
+//     pipeline/snapshot.h BackendSnapshot, see pipeline/recalibration.h) —
+//     without dropping or rerouting tickets, and resets that shard's
+//     breaker and drift monitor.
 //
 // Steady state allocates nothing: ring slots reuse their frame/label
 // capacity, scratch lives per worker slot, and the dispatcher loop reuses
@@ -74,17 +72,16 @@
 //
 // Locking contract (compile-time checked on Clang, see
 // common/annotations.h): every bookkeeping member — the ring vector, the
-// shard and health tables, tickets, counters, and the dispatcher/swap gate
-// flags — is MLQR_GUARDED_BY(mutex_), and the dispatcher-side helpers
-// carry MLQR_REQUIRES(mutex_). The one thing the analysis cannot express
-// is the slot custody hand-off: a producer fills a kReserved slot's frame
-// and the dispatcher reads kInFlight slots' frames / writes their labels
-// and per-batch error slots outside the lock, via pointers snapshotted
-// under it. That protocol is documented on Slot below and stays covered
-// by TSan.
+// shard table, the breaker and drift monitor, tickets, counters, and the
+// dispatcher/swap gate flags — is MLQR_GUARDED_BY(mutex_), and the
+// dispatcher-side helpers carry MLQR_REQUIRES(mutex_). The one thing the
+// analysis cannot express is the slot custody hand-off: a producer fills a
+// kReserved slot's frame and the dispatcher reads kInFlight slots' frames
+// / writes their labels and per-batch error slots outside the lock, via
+// pointers snapshotted under it. That protocol is documented on Slot below
+// and stays covered by TSan.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -94,62 +91,11 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "pipeline/drift_monitor.h"
 #include "pipeline/readout_engine.h"
+#include "pipeline/shard_breaker.h"
 
 namespace mlqr {
-
-/// Knobs for the per-shard drift monitors (StreamingEngine::drift()).
-/// Monitoring is passive — it never alters routing, labels, or ticket
-/// outcomes. Three signals are tracked per shard, each as a frozen
-/// baseline (mean over the first baseline window) plus an EWMA:
-///   * confidence — softmax p_max of the winning labels, re-scored on the
-///     dispatcher thread every confidence_sample-th OK shot (only on
-///     backends whose supports_scored() is true).
-///   * fidelity — fraction of qubits matching the caller-supplied
-///     expected labels on submit_reference() shots (interleaved
-///     calibration probes with known ground truth).
-///   * label mix — per-level occupancy histogram of the served labels
-///     (catches population drift even without scoring or references).
-struct DriftConfig {
-  /// Master switch; when false no monitor state is ever touched.
-  bool enabled = false;
-  /// EWMA smoothing factor for the post-baseline trackers, in (0, 1].
-  double alpha = 0.02;
-  /// OK shots of label-mix baseline before that tracker goes live.
-  std::size_t baseline_shots = 256;
-  /// Scored / reference shots of baseline for confidence and fidelity.
-  std::size_t baseline_signal = 16;
-  /// Score every Nth OK shot per shard (1 = every shot). Scoring re-runs
-  /// inference serially on the dispatcher thread, so keep it sparse when
-  /// ingest is saturating the classifier.
-  std::size_t confidence_sample = 16;
-  /// Relative confidence drop vs baseline that flags drift.
-  double confidence_drop = 0.05;
-  /// Absolute reference-fidelity drop vs baseline that flags drift.
-  double fidelity_drop = 0.02;
-  /// Absolute reference-fidelity floor (0 disables the floor check).
-  double min_fidelity = 0.0;
-  /// L1 distance between the label-mix EWMA and its baseline that flags
-  /// drift (2.0 would mean totally disjoint distributions).
-  double label_l1 = 0.25;
-  /// Minimum OK shots on a shard before any signal may flag drift.
-  std::size_t min_samples = 64;
-};
-
-/// One shard's drift-monitor snapshot (StreamingEngine::drift()). Signal
-/// fields are zero until their baseline froze.
-struct DriftReport {
-  bool ready = false;    ///< A baseline froze and min_samples was reached.
-  bool drifted = false;  ///< At least one signal crossed its threshold.
-  std::uint64_t samples = 0;    ///< OK shots observed on this shard.
-  std::uint64_t scored = 0;     ///< Shots with a sampled confidence.
-  std::uint64_t reference = 0;  ///< Reference shots with expected labels.
-  double confidence = 0.0;           ///< Confidence EWMA.
-  double baseline_confidence = 0.0;  ///< Frozen confidence baseline.
-  double fidelity = 0.0;             ///< Reference-fidelity EWMA.
-  double baseline_fidelity = 0.0;    ///< Frozen fidelity baseline.
-  double label_l1 = 0.0;  ///< L1(label-mix EWMA, baseline mix).
-};
 
 struct StreamingConfig {
   /// Ring capacity: bounds in-flight shots (submitted, not yet waited).
@@ -205,37 +151,38 @@ enum class ShotStatus : std::uint8_t {
               ///< and remains consumable by a later wait.
 };
 
-/// Externally visible health of one shard (see shard_health()).
-enum class ShardHealth : std::uint8_t {
-  kHealthy,      ///< Serving its own traffic.
-  kProbing,      ///< Quarantined, with a half-open probe shot in flight.
-  kQuarantined,  ///< Not serving; traffic reroutes until a probe succeeds
-                 ///< or swap_shard installs a fresh backend.
-};
-
 /// One consistent snapshot of every engine counter, taken under a single
-/// lock acquisition (the per-counter getters are thin wrappers over this).
-struct StreamingStats {
+/// lock acquisition. The breaker's and drift monitor's totals are its
+/// bases (BreakerCounts: rerouted, quarantines, probes, recoveries;
+/// DriftCounts: reference_shots, scored_shots).
+struct StreamingStats : BreakerCounts, DriftCounts {
   std::uint64_t submitted = 0;  ///< Tickets issued.
   std::uint64_t completed = 0;  ///< Resolved tickets: done + failed + shed.
   std::uint64_t failed = 0;     ///< Tickets whose backend threw.
   std::uint64_t shed = 0;       ///< Tickets dropped by admission control.
   std::uint64_t batches = 0;    ///< Micro-batches classified (non-empty).
   std::uint64_t swaps = 0;      ///< swap_shard calls completed.
-  std::uint64_t rerouted = 0;   ///< Shots served off their target shard.
-  std::uint64_t quarantines = 0;  ///< Healthy -> quarantined transitions.
-  std::uint64_t probes = 0;       ///< Half-open probe shots dispatched.
-  std::uint64_t recoveries = 0;   ///< Quarantined -> healthy via a probe.
-  std::uint64_t reference_shots = 0;  ///< Reference shots resolved OK.
-  std::uint64_t scored_shots = 0;  ///< Shots with a sampled confidence.
   std::size_t shards_quarantined = 0;  ///< Currently quarantined shards.
   std::size_t shards_drifted = 0;  ///< Shards currently flagging drift.
+};
+
+/// Admission options for StreamingEngine::submit_for.
+struct SubmitOptions {
+  /// Channel key: the shot classifies on shard key % shards. Unset routes
+  /// round-robin by ticket.
+  std::optional<std::uint64_t> key{};
+  /// Non-empty marks a reference shot: its known ground-truth labels (size
+  /// num_qubits()) for the fidelity monitor (see submit_reference).
+  std::span<const int> expected{};
+  /// How long to wait for a ring slot before rejecting; zero (or less)
+  /// rejects at once when the ring is full.
+  std::chrono::microseconds timeout{0};
 };
 
 /// Asynchronous sharded engine: submit/wait/drain over a bounded MPSC
 /// ring, micro-batched dispatch through EngineCore, deadline-aware
 /// shedding and per-shard circuit breakers. Producer-side calls
-/// (submit/try_submit/submit_for) are safe from multiple threads;
+/// (submit/submit_reference/submit_for) are safe from multiple threads;
 /// wait*/drain/stats are safe from any thread. One dispatcher thread per
 /// engine.
 class StreamingEngine {
@@ -243,13 +190,13 @@ class StreamingEngine {
   /// Monotonic per-engine shot id; ticket t is the t-th submitted frame.
   using Ticket = std::uint64_t;
 
-  /// Heterogeneous shards: one backend per feedline/chip. All shards must
-  /// be valid and report the same qubit count (as must cfg.fallback when
-  /// set).
+  /// Heterogeneous shards: one backend per feedline/chip. There must be at
+  /// least one, all valid and reporting the same qubit count (as must
+  /// cfg.fallback when set).
   explicit StreamingEngine(std::vector<EngineBackend> shards,
                            StreamingConfig cfg = {});
 
-  /// Homogeneous convenience: n_shards copies of one backend.
+  /// Homogeneous convenience: n_shards (>= 1) copies of one backend.
   StreamingEngine(const EngineBackend& backend, std::size_t n_shards,
                   StreamingConfig cfg = {});
 
@@ -274,40 +221,21 @@ class StreamingEngine {
   Ticket submit(const IqTrace& frame, std::uint64_t channel_key)
       MLQR_EXCLUDES(mutex_);
 
-  /// Non-blocking admission: like submit, but a full ring rejects the
-  /// frame (nullopt) instead of blocking. The caller owns the overload
-  /// policy — drop, retry, or spill.
-  std::optional<Ticket> try_submit(const IqTrace& frame) MLQR_EXCLUDES(mutex_);
-  std::optional<Ticket> try_submit(const IqTrace& frame,
-                                   std::uint64_t channel_key)
-      MLQR_EXCLUDES(mutex_);
-
-  /// Bounded-blocking admission: waits up to `timeout` for a ring slot,
-  /// then rejects (nullopt). timeout <= 0 behaves like try_submit.
-  std::optional<Ticket> submit_for(const IqTrace& frame,
-                                   std::chrono::microseconds timeout)
-      MLQR_EXCLUDES(mutex_);
-  std::optional<Ticket> submit_for(const IqTrace& frame,
-                                   std::uint64_t channel_key,
-                                   std::chrono::microseconds timeout)
-      MLQR_EXCLUDES(mutex_);
-
-  /// Reference-shot admission: like submit, but tags the shot with its
-  /// known ground-truth labels (`expected`, size num_qubits()) so the
+  /// Reference-shot admission: like keyed submit, but tags the shot with
+  /// its known ground-truth labels (`expected`, size num_qubits()) so the
   /// drift monitors can track live serving fidelity. Classification and
   /// ticket semantics are unchanged — the expected labels feed monitoring
   /// only, and wait() returns the backend's labels as usual. Interleave
   /// these sparsely (e.g. calibration shots with known prepared states)
   /// among regular traffic.
-  Ticket submit_reference(const IqTrace& frame, std::span<const int> expected)
-      MLQR_EXCLUDES(mutex_);
   Ticket submit_reference(const IqTrace& frame, std::uint64_t channel_key,
                           std::span<const int> expected) MLQR_EXCLUDES(mutex_);
-  /// Bounded-blocking reference admission (submit_for semantics).
-  std::optional<Ticket> submit_reference_for(const IqTrace& frame,
-                                             std::uint64_t channel_key,
-                                             std::span<const int> expected,
-                                             std::chrono::microseconds timeout)
+
+  /// Bounded admission with the options above (key, reference labels):
+  /// waits up to opts.timeout for a ring slot, then rejects (nullopt). A
+  /// zero timeout never blocks — the caller owns the overload policy
+  /// (drop, retry, or spill). microseconds::max() waits indefinitely.
+  std::optional<Ticket> submit_for(const IqTrace& frame, SubmitOptions opts)
       MLQR_EXCLUDES(mutex_);
 
   /// Blocks until ticket `t` resolves, copies its labels into `out` (size
@@ -316,7 +244,7 @@ class StreamingEngine {
   /// issued sequentially from 0, so a pipelined consumer may wait a ticket
   /// its producer has not submitted yet — the call blocks until it is.
   /// A ticket at least ring-capacity ahead of the next unissued one
-  /// (t >= shots_submitted() + queue_capacity) cannot resolve before this
+  /// (t >= stats().submitted + queue_capacity) cannot resolve before this
   /// caller itself would deadlock waiting, so wait() throws Error for it
   /// instead of blocking forever (the classic never-submitted-ticket
   /// foot-gun); wait_for() is the non-throwing escape for genuinely
@@ -329,9 +257,6 @@ class StreamingEngine {
   /// consumers that expect shedding use wait_result() instead.
   void wait(Ticket t, std::span<int> out) MLQR_EXCLUDES(mutex_);
 
-  /// Allocating convenience wrapper around wait(t, out).
-  std::vector<int> wait(Ticket t) MLQR_EXCLUDES(mutex_);
-
   /// Status-reporting wait: blocks until ticket `t` resolves and consumes
   /// it, returning kDone (labels copied into `out`), kFailed (backend
   /// threw; the stored exception is discarded) or kShed. Never returns
@@ -343,6 +268,7 @@ class StreamingEngine {
   /// elapsed without the ticket resolving — the ticket is NOT consumed and
   /// stays waitable (including tickets never submitted yet, which is why
   /// this variant skips the unsatisfiable-ticket throw).
+  /// microseconds::max() waits indefinitely.
   ShotStatus wait_for(Ticket t, std::span<int> out,
                       std::chrono::microseconds timeout) MLQR_EXCLUDES(mutex_);
 
@@ -383,14 +309,9 @@ class StreamingEngine {
   /// Every counter in one consistent snapshot (single lock acquisition).
   StreamingStats stats() const MLQR_EXCLUDES(mutex_);
 
-  /// Legacy per-counter getters, now thin wrappers over stats().
-  std::uint64_t shots_submitted() const { return stats().submitted; }
-  std::uint64_t shots_completed() const { return stats().completed; }
-  std::uint64_t batches_dispatched() const { return stats().batches; }
-  std::uint64_t shards_swapped() const { return stats().swaps; }
-
  private:
-  using TimePoint = std::chrono::steady_clock::time_point;
+  using Clock = std::chrono::steady_clock;
+  using TimePoint = Clock::time_point;
 
   enum class SlotState : std::uint8_t {
     kFree,      ///< Reusable; ticket field holds the last consumed ticket.
@@ -406,10 +327,6 @@ class StreamingEngine {
   /// Slot.ticket value before any shot has occupied the slot (a real
   /// ticket can never reach it).
   static constexpr Ticket kNoTicket = ~Ticket{0};
-
-  /// Slot.served_by value for shots classified on cfg_.fallback rather
-  /// than a shard.
-  static constexpr std::size_t kFallbackShard = ~std::size_t{0};
 
   /// One ring entry. The state/ticket/shard/outcome/error fields
   /// transition only under the engine mutex; frame, labels and arrival
@@ -429,11 +346,9 @@ class StreamingEngine {
     Ticket ticket = kNoTicket;
     /// Target shard chosen at submit time (round-robin or channel key).
     std::size_t shard = 0;
-    /// Shard that actually classified the shot (claim-time routing may
-    /// divert quarantined traffic); kFallbackShard for the fallback.
-    std::size_t served_by = 0;
-    /// True when this shot was a half-open probe of a quarantined shard.
-    bool probe = false;
+    /// Where the breaker routed the shot at claim time (it may divert
+    /// quarantined traffic): a shard, or ShardBreaker::kFallback.
+    ShardBreaker::Route route{0, false};
     /// Reference-shot tagging: when is_reference, `expected` holds the
     /// caller's ground-truth labels for the fidelity monitor. Both follow
     /// the kReserved custody protocol (filled by the producer outside the
@@ -443,25 +358,18 @@ class StreamingEngine {
     std::vector<int> expected;
     SlotState state = SlotState::kFree;
     SlotOutcome outcome = SlotOutcome::kOk;
-    std::chrono::steady_clock::time_point arrival{};
+    TimePoint arrival{};
     /// Set when the backend threw classifying this shot (outcome kFailed);
     /// the labels are invalid and wait() rethrows instead of copying.
     std::exception_ptr error;
   };
 
-  /// Circuit-breaker bookkeeping for one shard.
-  struct ShardState {
-    std::size_t consecutive_failures = 0;
-    std::size_t probe_in_flight = 0;
-    bool quarantined = false;
-    /// Earliest time a half-open probe may route traffic back.
-    TimePoint retry_at{};
-  };
-
-  /// Shared admission machinery. `expected` non-null marks a reference
-  /// shot (n_qubits_ ground-truth labels copied into the slot).
-  std::optional<Ticket> submit_routed(const IqTrace& frame, bool keyed,
-                                      std::uint64_t key, const int* expected,
+  /// Shared admission machinery for every submit flavour. `reference`
+  /// marks a reference shot (opts.expected must then hold n_qubits_
+  /// labels). deadline == nullptr blocks until a slot frees.
+  std::optional<Ticket> submit_routed(const IqTrace& frame,
+                                      const SubmitOptions& opts,
+                                      bool reference,
                                       const TimePoint* deadline)
       MLQR_EXCLUDES(mutex_);
   /// Shared wait machinery. deadline == nullptr blocks indefinitely (and
@@ -476,51 +384,9 @@ class StreamingEngine {
   std::size_t ready_run() const MLQR_REQUIRES(mutex_);
   /// Extends queued_run_ past newly queued slots (amortized O(1)/shot).
   void extend_queued_run() MLQR_REQUIRES(mutex_);
-  /// Claim-time routing: where slot's shot should classify given current
-  /// shard health (identity when the breaker is disabled or the shard is
-  /// healthy). Marks probe shots and bumps reroute/probe counters.
-  std::size_t route_shot(Slot& slot, TimePoint now) MLQR_REQUIRES(mutex_);
-  /// Completion-time breaker bookkeeping for one classified shot: failure
-  /// counting, quarantine transitions, probe evaluation, recovery.
-  void record_shot_result(const Slot& slot, bool shot_failed, TimePoint now)
-      MLQR_REQUIRES(mutex_);
   Slot& slot_of(Ticket t) MLQR_REQUIRES(mutex_) {
     return ring_[t % ring_.size()];
   }
-
-  /// Label bins tracked by the mix monitor; labels clamp into the last
-  /// bin, so any level count up to (and beyond) 3 is representable.
-  static constexpr std::size_t kDriftLabelBins = 4;
-
-  /// Baseline-then-EWMA tracker for one scalar drift signal.
-  struct SignalTrack {
-    std::uint64_t count = 0;
-    double baseline_sum = 0.0;
-    double baseline = 0.0;  ///< Mean of the first baseline_n samples.
-    double value = 0.0;     ///< EWMA, seeded from the frozen baseline.
-    bool frozen = false;
-    void update(double x, std::size_t baseline_n, double alpha);
-  };
-
-  /// Per-shard drift bookkeeping (see DriftConfig for the model).
-  struct DriftMonitor {
-    std::uint64_t samples = 0;    ///< OK shots observed.
-    std::uint64_t scored = 0;     ///< Shots with a sampled confidence.
-    std::uint64_t reference = 0;  ///< Reference shots observed.
-    SignalTrack confidence;
-    SignalTrack fidelity;
-    std::uint64_t label_count = 0;
-    bool label_frozen = false;
-    std::array<double, kDriftLabelBins> label_base_sum{};
-    std::array<double, kDriftLabelBins> label_base{};
-    std::array<double, kDriftLabelBins> label_ewma{};
-  };
-
-  /// Folds one OK (non-fallback) shot into its shard's monitor. conf < 0
-  /// means no confidence sample was taken for this shot.
-  void observe_ok_shot(const Slot& slot, float conf) MLQR_REQUIRES(mutex_);
-  /// Evaluates one monitor against cfg_.drift thresholds.
-  DriftReport report_of(const DriftMonitor& m) const MLQR_REQUIRES(mutex_);
 
   StreamingConfig cfg_;
   std::size_t n_qubits_ = 0;      ///< Immutable after construction.
@@ -540,8 +406,14 @@ class StreamingEngine {
   /// Stable while dispatching_ is true: swap_shard waits for the gap
   /// between micro-batches before mutating an element.
   std::vector<EngineBackend> shards_ MLQR_GUARDED_BY(mutex_);
-  /// Parallel to shards_: per-shard circuit-breaker state.
-  std::vector<ShardState> health_ MLQR_GUARDED_BY(mutex_);
+  /// Routing and health policy (claim-time route, completion-time record).
+  ShardBreaker breaker_ MLQR_GUARDED_BY(mutex_);
+  /// Drift observer, fed every OK shard-served shot at completion time.
+  DriftMonitor drift_ MLQR_GUARDED_BY(mutex_);
+  /// The engine's own counters: completed, failed, shed, batches and
+  /// swaps. stats() fills the rest (submitted, the breaker's and the
+  /// drift monitor's counts, the shard tallies) from their owners.
+  StreamingStats counts_ MLQR_GUARDED_BY(mutex_);
   /// Tickets of the micro-batch being classified (shed slots excluded);
   /// dispatcher-only, reused across batches, read outside the lock via a
   /// pointer snapshotted under it (same custody as ring_).
@@ -557,20 +429,6 @@ class StreamingEngine {
   Ticket flush_ MLQR_GUARDED_BY(mutex_) = 0;
   /// Contiguous kQueued slots from head_.
   std::size_t queued_run_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t completed_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t batches_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t swaps_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t failed_total_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t shed_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t rerouted_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t quarantines_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t probes_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t recoveries_ MLQR_GUARDED_BY(mutex_) = 0;
-  /// Parallel to shards_: per-shard drift monitors (swap_shard resets the
-  /// swapped shard's entry).
-  std::vector<DriftMonitor> drift_ MLQR_GUARDED_BY(mutex_);
-  std::uint64_t reference_shots_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t scored_shots_ MLQR_GUARDED_BY(mutex_) = 0;
   /// Dispatcher-thread only (like core_), touched outside the lock while
   /// the batch's slots are in dispatcher custody: confidence-scoring
   /// scratch + label sink, the per-batch confidence samples

@@ -193,9 +193,10 @@ TEST(Annotations, DrainRacingSwapUnderBackpressureNeitherDeadlocksNorDrops) {
   producer.join();
   swapper.join();
   drainer.join();
-  EXPECT_EQ(eng.shots_submitted(), n);
-  EXPECT_EQ(eng.shots_completed(), n);
-  EXPECT_EQ(eng.shards_swapped(), 8u);
+  const StreamingStats st = eng.stats();
+  EXPECT_EQ(st.submitted, n);
+  EXPECT_EQ(st.completed, n);
+  EXPECT_EQ(st.swaps, 8u);
   eng.drain();  // Quiet after the dust settles.
 }
 

@@ -278,7 +278,8 @@ void feed(StreamingEngine& eng, std::size_t n) {
 void feed_reference(StreamingEngine& eng, std::size_t n,
                     const std::vector<int>& expected) {
   const IqTrace frame(256);
-  for (std::size_t k = 0; k < n; ++k) eng.submit_reference(frame, expected);
+  for (std::size_t k = 0; k < n; ++k)
+    eng.submit_reference(frame, /*channel_key=*/0, expected);
   eng.drain();
 }
 
@@ -397,7 +398,7 @@ TEST(DriftMonitor, ReferenceSubmitRejectsWrongLabelCount) {
   StreamingEngine eng(fake_scored_backend(knobs), 1, drifty_config());
   const IqTrace frame(256);
   const std::vector<int> wrong{0};
-  EXPECT_THROW(eng.submit_reference(frame, wrong), Error);
+  EXPECT_THROW(eng.submit_reference(frame, /*channel_key=*/0, wrong), Error);
 }
 
 // ---- RecalibrationController end to end ---------------------------------
@@ -544,7 +545,7 @@ TEST(RecalibrationController, RetrainerSeesReservoirShots) {
   const IqTrace frame(256);
   const std::vector<int> expected{0, 0};
   for (int k = 0; k < 64; ++k) {
-    eng.submit_reference(frame, expected);
+    eng.submit_reference(frame, /*channel_key=*/0, expected);
     ctrl.reservoir().push(frame, expected);
   }
   eng.drain();
@@ -601,7 +602,9 @@ TEST(RecalibrationController, ConcurrentDriftSwapAndIngest) {
       const std::vector<int> expected{0, 0};
       std::uint64_t key = static_cast<std::uint64_t>(p) << 32;
       while (run.load()) {
-        if (eng.submit_reference_for(frame, key++, expected, 1000us)
+        if (eng.submit_for(frame, {.key = key++,
+                                   .expected = expected,
+                                   .timeout = 1000us})
                 .has_value()) {
           ctrl.reservoir().push(frame, expected);
           accepted.fetch_add(1);

@@ -257,19 +257,20 @@ TEST(Snapshot, SwapShardServesReloadedCalibrationWithoutStopping) {
   eng.drain();  // Pre-swap shots are classified (float) before the swap.
   eng.swap_shard(0, snap.backend());
   eng.swap_shard(1, snap.backend());
-  EXPECT_EQ(eng.shards_swapped(), 2u);
+  EXPECT_EQ(eng.stats().swaps, 2u);
   for (std::size_t s = half; s < n; ++s)
     tickets.push_back(eng.submit(fx.ds.shots.traces[s]));
   eng.drain();
 
   const std::size_t nq = eng.num_qubits();
   for (std::size_t s = 0; s < n; ++s) {
-    const std::vector<int> got = eng.wait(tickets[s]);
+    std::vector<int> got(nq);
+    eng.wait(tickets[s], got);
     const std::vector<int>& want = s < half ? fx.float_labels : fx.int16_labels;
     for (std::size_t q = 0; q < nq; ++q)
       ASSERT_EQ(got[q], want[s * nq + q]) << "shot " << s << " qubit " << q;
   }
-  EXPECT_EQ(eng.shots_completed(), n);
+  EXPECT_EQ(eng.stats().completed, n);
 }
 
 TEST(Snapshot, SwapShardUnderConcurrentTrafficKeepsTicketFrameBinding) {
@@ -307,7 +308,7 @@ TEST(Snapshot, SwapShardUnderConcurrentTrafficKeepsTicketFrameBinding) {
             << "shot " << s << " qubit " << q;
     }
   }  // Joins producer and swapper before checking the swap counter.
-  EXPECT_EQ(eng.shards_swapped(), 6u);
+  EXPECT_EQ(eng.stats().swaps, 6u);
 }
 
 TEST(Snapshot, SwapShardValidatesBackendAndIndex) {
@@ -320,7 +321,7 @@ TEST(Snapshot, SwapShardValidatesBackendAndIndex) {
                                          std::span<int>) {})),
       Error);
   EXPECT_THROW(eng.swap_shard(7, make_backend(fx.proposed)), Error);
-  EXPECT_EQ(eng.shards_swapped(), 0u);
+  EXPECT_EQ(eng.stats().swaps, 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <semaphore>
 #include <thread>
 #include <vector>
@@ -65,6 +66,13 @@ std::vector<int> stream_all(StreamingEngine& eng,
   return labels;
 }
 
+/// wait(t, out) into a fresh vector (the tests' allocating shorthand).
+std::vector<int> wait_labels(StreamingEngine& eng, StreamingEngine::Ticket t) {
+  std::vector<int> out(eng.num_qubits());
+  eng.wait(t, out);
+  return out;
+}
+
 TEST(Streaming, MatchesSyncAcrossShardCounts) {
   const Fixture& fx = Fixture::get();
   for (std::size_t shards : {1u, 2u, 3u}) {
@@ -75,7 +83,7 @@ TEST(Streaming, MatchesSyncAcrossShardCounts) {
     EXPECT_EQ(eng.num_shards(), shards);
     EXPECT_EQ(stream_all(eng, fx.ds.shots.traces), fx.sync_labels)
         << shards << " shards";
-    EXPECT_EQ(eng.shots_completed(), fx.ds.shots.size());
+    EXPECT_EQ(eng.stats().completed, fx.ds.shots.size());
   }
 }
 
@@ -92,7 +100,7 @@ TEST(Streaming, MatchesSyncAcrossWorkerAndBatchKnobs) {
       StreamingEngine eng(make_backend(fx.proposed), 2, cfg);
       EXPECT_EQ(stream_all(eng, fx.ds.shots.traces), fx.sync_labels)
           << threads << " threads, batch_max " << batch_max;
-      EXPECT_GE(eng.batches_dispatched(), 1u);
+      EXPECT_GE(eng.stats().batches, 1u);
     }
   }
 }
@@ -108,7 +116,7 @@ TEST(Streaming, KeyedRoutingMatchesSync) {
     tickets.push_back(eng.submit(traces[s], /*channel_key=*/s * 7 + 1));
   eng.drain();
   for (std::size_t s = 0; s < tickets.size(); ++s) {
-    const std::vector<int> got = eng.wait(tickets[s]);
+    const std::vector<int> got = wait_labels(eng, tickets[s]);
     for (std::size_t q = 0; q < eng.num_qubits(); ++q)
       ASSERT_EQ(got[q], fx.sync_labels[s * eng.num_qubits() + q])
           << "shot " << s << " qubit " << q;
@@ -131,7 +139,7 @@ TEST(Streaming, TicketsAwaitableInAnyOrder) {
   // Reverse wait order: ticket n-1 first, ticket 0 last.
   for (std::size_t r = 0; r < n; ++r) {
     const std::size_t s = n - 1 - r;
-    const std::vector<int> got = eng.wait(tickets[s]);
+    const std::vector<int> got = wait_labels(eng, tickets[s]);
     for (std::size_t q = 0; q < eng.num_qubits(); ++q)
       ASSERT_EQ(got[q], fx.sync_labels[s * eng.num_qubits() + q])
           << "shot " << s << " qubit " << q;
@@ -158,7 +166,7 @@ TEST(Streaming, BoundedRingAppliesBackpressure) {
       ASSERT_EQ(out[q], fx.sync_labels[s * eng.num_qubits() + q])
           << "shot " << s << " qubit " << q;
   }
-  EXPECT_EQ(eng.shots_submitted(), n);
+  EXPECT_EQ(eng.stats().submitted, n);
 }
 
 TEST(Streaming, MultipleProducersKeepTicketFrameBinding) {
@@ -185,12 +193,12 @@ TEST(Streaming, MultipleProducersKeepTicketFrameBinding) {
   eng.drain();
   for (const auto& batch : submitted)
     for (const auto& [ticket, shot] : batch) {
-      const std::vector<int> got = eng.wait(ticket);
+      const std::vector<int> got = wait_labels(eng, ticket);
       for (std::size_t q = 0; q < eng.num_qubits(); ++q)
         ASSERT_EQ(got[q], fx.sync_labels[shot * eng.num_qubits() + q])
             << "shot " << shot << " qubit " << q;
     }
-  EXPECT_EQ(eng.shots_completed(), kProducers * per);
+  EXPECT_EQ(eng.stats().completed, kProducers * per);
 }
 
 TEST(Streaming, DeadlineFlushesPartialBatches) {
@@ -203,8 +211,8 @@ TEST(Streaming, DeadlineFlushesPartialBatches) {
   StreamingEngine eng(make_backend(fx.proposed), 1, cfg);
   const auto t0 = eng.submit(fx.ds.shots.traces[0]);
   const auto t1 = eng.submit(fx.ds.shots.traces[1]);
-  const std::vector<int> l0 = eng.wait(t0);
-  const std::vector<int> l1 = eng.wait(t1);
+  const std::vector<int> l0 = wait_labels(eng, t0);
+  const std::vector<int> l1 = wait_labels(eng, t1);
   for (std::size_t q = 0; q < eng.num_qubits(); ++q) {
     EXPECT_EQ(l0[q], fx.sync_labels[q]);
     EXPECT_EQ(l1[q], fx.sync_labels[eng.num_qubits() + q]);
@@ -219,7 +227,7 @@ TEST(Streaming, WaitContractViolationsThrow) {
   std::vector<int> out(eng.num_qubits());
   EXPECT_THROW(eng.wait(t, {out.data(), 1}), Error);  // Wrong span size.
   eng.wait(t, out);
-  EXPECT_THROW(eng.wait(t), Error);  // Tickets are one-shot.
+  EXPECT_THROW(eng.wait(t, out), Error);  // Tickets are one-shot.
   // A recycled slot also reports the stale ticket as consumed.
   StreamingConfig tiny;
   tiny.queue_capacity = 2;
@@ -228,12 +236,13 @@ TEST(Streaming, WaitContractViolationsThrow) {
     small.submit(fx.ds.shots.traces[s]);
     small.wait(s, out);  // Free the slot so the ring can advance.
   }
-  EXPECT_THROW(small.wait(1), Error);  // Slot now owned by ticket 3/5.
+  EXPECT_THROW(small.wait(1, out), Error);  // Slot now owned by ticket 3/5.
 }
 
 TEST(Streaming, RejectsBadShardSets) {
   const Fixture& fx = Fixture::get();
   EXPECT_THROW(StreamingEngine(std::vector<EngineBackend>{}), Error);
+  EXPECT_THROW(StreamingEngine(make_backend(fx.proposed), 0), Error);
   EXPECT_THROW(StreamingEngine(std::vector<EngineBackend>{EngineBackend{}}),
                Error);
   std::vector<EngineBackend> mixed{
@@ -278,14 +287,15 @@ TEST(Streaming, ThrowingBackendSurfacesFromWaitAndEngineSurvives) {
   const auto good0 = eng.submit(plain_frame());
   const auto bad = eng.submit(poison_frame());
   const auto good1 = eng.submit(plain_frame());
-  EXPECT_EQ(eng.wait(good0), (std::vector<int>{0, 0}));
-  EXPECT_THROW(eng.wait(bad), Error);
-  EXPECT_THROW(eng.wait(bad), Error);  // Consumed: one-shot contract holds.
-  EXPECT_EQ(eng.wait(good1), (std::vector<int>{0, 0}));
+  EXPECT_EQ(wait_labels(eng, good0), (std::vector<int>{0, 0}));
+  EXPECT_THROW(wait_labels(eng, bad), Error);
+  // Consumed: one-shot contract holds.
+  EXPECT_THROW(wait_labels(eng, bad), Error);
+  EXPECT_EQ(wait_labels(eng, good1), (std::vector<int>{0, 0}));
   // The engine is still alive for later submissions.
   const auto good2 = eng.submit(plain_frame());
-  EXPECT_EQ(eng.wait(good2), (std::vector<int>{0, 0}));
-  EXPECT_EQ(eng.shots_completed(), 4u);
+  EXPECT_EQ(wait_labels(eng, good2), (std::vector<int>{0, 0}));
+  EXPECT_EQ(eng.stats().completed, 4u);
 }
 
 TEST(Streaming, BackendFailureStaysPerShotWithinABatch) {
@@ -301,14 +311,16 @@ TEST(Streaming, BackendFailureStaysPerShotWithinABatch) {
     tickets.push_back(eng.submit(s == 2 ? poison_frame() : plain_frame()));
   for (std::size_t s = 0; s < tickets.size(); ++s) {
     if (s == 2) {
-      EXPECT_THROW(eng.wait(tickets[s]), Error);
+      EXPECT_THROW(wait_labels(eng, tickets[s]), Error);
     } else {
-      EXPECT_EQ(eng.wait(tickets[s]), (std::vector<int>{0, 0})) << "shot " << s;
+      EXPECT_EQ(wait_labels(eng, tickets[s]), (std::vector<int>{0, 0}))
+          << "shot " << s;
     }
   }
   // The next (clean) batch classifies normally.
-  EXPECT_EQ(eng.wait(eng.submit(plain_frame())), (std::vector<int>{0, 0}));
-  EXPECT_EQ(eng.batches_dispatched(), 2u);
+  EXPECT_EQ(wait_labels(eng, eng.submit(plain_frame())),
+            (std::vector<int>{0, 0}));
+  EXPECT_EQ(eng.stats().batches, 2u);
   EXPECT_EQ(eng.stats().failed, 1u);
 }
 
@@ -321,8 +333,8 @@ TEST(Streaming, DrainSurfacesFailuresUntilTicketsAreConsumed) {
   const auto bad = eng.submit(poison_frame());
   EXPECT_THROW(eng.drain(), Error);
   EXPECT_THROW(eng.drain(), Error);  // Still unconsumed: drain keeps flagging.
-  EXPECT_EQ(eng.wait(good), (std::vector<int>{0, 0}));
-  EXPECT_THROW(eng.wait(bad), Error);
+  EXPECT_EQ(wait_labels(eng, good), (std::vector<int>{0, 0}));
+  EXPECT_THROW(wait_labels(eng, bad), Error);
   EXPECT_NO_THROW(eng.drain());  // All failures delivered: quiet again.
 }
 
@@ -350,7 +362,7 @@ TEST(Streaming, FailuresUnderBackpressureNeitherDeadlockNorLeakSlots) {
     }
   }
   EXPECT_EQ(failures, kShots / 3);
-  EXPECT_EQ(eng.shots_completed(), kShots);
+  EXPECT_EQ(eng.stats().completed, kShots);
   EXPECT_NO_THROW(eng.drain());
 }
 
@@ -416,7 +428,7 @@ EngineBackend controllable_backend(std::shared_ptr<std::atomic<bool>> fail,
       });
 }
 
-TEST(Streaming, TrySubmitAndSubmitForRejectWhileRingStaysFull) {
+TEST(Streaming, SubmitForRejectsWhileRingStaysFull) {
   StreamingConfig cfg;
   cfg.queue_capacity = 2;
   cfg.batch_max = 2;
@@ -426,13 +438,14 @@ TEST(Streaming, TrySubmitAndSubmitForRejectWhileRingStaysFull) {
   const auto t1 = eng.submit(plain_frame());
   // Both slots stay occupied (queued / in-flight / done) until a wait
   // consumes one — admission must reject, not block.
-  EXPECT_FALSE(eng.try_submit(plain_frame()).has_value());
+  EXPECT_FALSE(eng.submit_for(plain_frame(), {}).has_value());
   EXPECT_FALSE(
-      eng.submit_for(plain_frame(), std::chrono::microseconds(2000))
+      eng.submit_for(plain_frame(),
+                     {.timeout = std::chrono::microseconds(2000)})
           .has_value());
   std::vector<int> out(eng.num_qubits());
   eng.wait(t0, out);
-  const auto t2 = eng.try_submit(plain_frame());
+  const auto t2 = eng.submit_for(plain_frame(), {});
   ASSERT_TRUE(t2.has_value());
   EXPECT_EQ(*t2, t1 + 1);
   eng.wait(t1, out);
@@ -443,7 +456,7 @@ TEST(Streaming, TrySubmitAndSubmitForRejectWhileRingStaysFull) {
 }
 
 TEST(Streaming, WaitOnProvablyUnsatisfiableTicketThrows) {
-  // A ticket >= shots_submitted() + capacity cannot resolve before the
+  // A ticket >= stats().submitted + capacity cannot resolve before the
   // caller itself deadlocks, so plain wait() refuses it up front; timed
   // wait_for() is the sanctioned way to poll a speculative ticket.
   StreamingConfig cfg;
@@ -474,7 +487,37 @@ TEST(Streaming, WaitForTimesOutWithoutConsumingTheTicket) {
   EXPECT_EQ(eng.wait_for(t0, out, std::chrono::microseconds(2000000)),
             ShotStatus::kDone);
   EXPECT_EQ(out, (std::vector<int>{0, 0}));
-  EXPECT_THROW(eng.wait(t0), Error);  // Now consumed: one-shot contract.
+  // Now consumed: one-shot contract.
+  EXPECT_THROW(wait_labels(eng, t0), Error);
+}
+
+TEST(Streaming, MaxTimeoutsWaitIndefinitely) {
+  // microseconds::max() must saturate the deadline instead of overflowing
+  // the clock's nanosecond count into the past (signed-overflow UB that
+  // made "wait forever" reject or time out at once).
+  constexpr auto kForever = std::chrono::microseconds::max();
+  auto gate = std::make_shared<Gate>();
+  StreamingConfig cfg;
+  cfg.queue_capacity = 1;
+  cfg.batch_max = 1;
+  cfg.deadline_us = 0;
+  StreamingEngine eng(gated_backend(gate), 1, cfg);
+  const auto t0 = eng.submit_for(plain_frame(), {.timeout = kForever});
+  ASSERT_TRUE(t0.has_value());
+  gate->started.acquire();  // t0 in flight: the one-slot ring is full.
+  std::optional<StreamingEngine::Ticket> t1;
+  std::jthread producer(
+      [&] { t1 = eng.submit_for(plain_frame(), {.timeout = kForever}); });
+  gate->go.release();
+  std::vector<int> out(eng.num_qubits());
+  EXPECT_EQ(eng.wait_for(*t0, out, kForever), ShotStatus::kDone);
+  gate->started.acquire();  // The blocked producer got t0's slot.
+  gate->go.release();
+  producer.join();
+  ASSERT_TRUE(t1.has_value());
+  EXPECT_EQ(*t1, *t0 + 1);
+  EXPECT_EQ(eng.wait_for(*t1, out, kForever), ShotStatus::kDone);
+  EXPECT_EQ(out, (std::vector<int>{0, 0}));
 }
 
 /// Per-shot deadline of the two shedding tests below, and how long they

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lints that neither the compiler nor clang-tidy can express.
 
-Three checks, all cheap enough for every CI run and every pre-commit:
+Four checks, all cheap enough for every CI run and every pre-commit:
 
   1. snapshot-kinds: the SnapshotKind enum in src/pipeline/snapshot.h is an
      on-disk format registry. Its wire values are pinned in
@@ -21,6 +21,13 @@ Three checks, all cheap enough for every CI run and every pre-commit:
      seeded-randomness site (its fault schedules are pure functions of
      (seed, call index)). The wall-clock/random_device ban from check 2
      still applies to those files.
+
+  4. pure-policy: StreamingEngine's routing/health policy and drift observer
+     (src/pipeline/shard_breaker.* and drift_monitor.*) are pure state
+     machines: the caller passes the time in and serializes access. They
+     may not read a clock (`::now(`) or name a mutex, lock or condition
+     variable — that keeps them unit-testable with injected time points and
+     ready to be driven from outside any one lock.
 
 Exit status: 0 = all invariants hold, 1 = violation (details on stderr),
 2 = usage / environment error. `--self-test` proves the checks can fail by
@@ -223,6 +230,47 @@ def check_pipeline_rng(root: pathlib.Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Check 4: the streaming policies hold no lock and read no clock.
+# ---------------------------------------------------------------------------
+
+PURE_POLICY_GLOBS = ("shard_breaker.*", "drift_monitor.*")
+
+PURE_POLICY_PATTERNS = [
+    ("clock read", re.compile(r"::\s*now\s*\(")),
+    (
+        "mutex/lock/condition variable",
+        re.compile(
+            r"\b(?:\w*mutex\w*|\w*Mutex\w*|CondVar|condition_variable\w*"
+            r"|lock_guard|unique_lock|scoped_lock|shared_lock"
+            r"|MLQR_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES|EXCLUDES|ACQUIRE"
+            r"|RELEASE|TRY_ACQUIRE))\b"
+            r"|\.\s*(?:try_)?(?:un)?lock\s*\("
+        ),
+    ),
+]
+
+
+def check_pure_policy(root: pathlib.Path) -> list[str]:
+    errors = []
+    pipeline = root / "src" / "pipeline"
+    paths = sorted({p for g in PURE_POLICY_GLOBS for p in pipeline.glob(g)})
+    for path in paths:
+        if path.suffix not in {".h", ".cpp"}:
+            continue
+        rel = path.relative_to(root)
+        code = strip_comments(path.read_text(encoding="utf-8"))
+        for lineno, line in enumerate(code.splitlines(), 1):
+            for label, pattern in PURE_POLICY_PATTERNS:
+                if pattern.search(line):
+                    errors.append(
+                        f"{rel}:{lineno}: {label} in a pure streaming "
+                        f"policy — take the time as a parameter and leave "
+                        f"locking to the engine that drives it"
+                    )
+    return errors
+
+
+# ---------------------------------------------------------------------------
 # Driver + self-test.
 # ---------------------------------------------------------------------------
 
@@ -232,6 +280,7 @@ def run_checks(root: pathlib.Path) -> int:
         check_snapshot_kinds(root)
         + check_nondeterminism(root)
         + check_pipeline_rng(root)
+        + check_pure_policy(root)
     )
     for e in errors:
         print(f"lint_invariants: {e}", file=sys.stderr)
@@ -338,14 +387,58 @@ def self_test() -> int:
         for name in ("fault_injection.h", "fault_injection.cpp"):
             (root / "src" / "pipeline" / name).unlink()
 
+        # Check 4: a clock read or any locking primitive in either policy
+        # file must be caught...
+        impure_snippets = {
+            "steady_clock::now()": "auto t = std::chrono::steady_clock::now();\n",
+            "Clock::now()": "const auto t = Clock::now();\n",
+            "std::mutex": "#include <mutex>\nstd::mutex mu_;\n",
+            "mlqr::Mutex": "mutable Mutex mu_;\n",
+            "MutexLock": "MutexLock lock(mu_);\n",
+            "CondVar": "CondVar cv_;\n",
+            "condition_variable": "std::condition_variable cv_;\n",
+            "lock_guard": "std::lock_guard<Mutex> g(m);\n",
+            "unique_lock": "std::unique_lock<std::mutex> g(m);\n",
+            "GUARDED_BY": "int x_ MLQR_GUARDED_BY(m_) = 0;\n",
+            ".lock()": "m.lock();\n",
+        }
+        for name in ("shard_breaker.cpp", "drift_monitor.h"):
+            policy_probe = root / "src" / "pipeline" / name
+            for label, snippet in impure_snippets.items():
+                policy_probe.write_text(snippet, encoding="utf-8")
+                if not check_pure_policy(root):
+                    failures.append(f"impure policy not caught: {label} "
+                                    f"in {name}")
+            # ...while comments and identifiers that merely contain the
+            # letters (block, clock_skew, unlocked_count) must not fire...
+            policy_probe.write_text(
+                "// holds no mutex and reads no clock: Clock::now() is the\n"
+                "// caller's job\n"
+                "int block = 0, clock_skew = 0, unlocked_count = 0;\n"
+                "Clock::time_point retry_at{};\n",
+                encoding="utf-8",
+            )
+            if check_pure_policy(root):
+                failures.append(f"false positive on pure code in {name}")
+            policy_probe.unlink()
+        # ...and the engine that drives them keeps its lock and its clock.
+        (root / "src" / "pipeline" / "streaming_engine.cpp").write_text(
+            "MutexLock lock(mutex_);\nconst auto t = Clock::now();\n",
+            encoding="utf-8",
+        )
+        if check_pure_policy(root):
+            failures.append("pure-policy check fired outside the policies")
+        (root / "src" / "pipeline" / "streaming_engine.cpp").unlink()
+
     for f in failures:
         print(f"lint_invariants --self-test: FAIL: {f}", file=sys.stderr)
     if not failures:
         print(
             f"lint_invariants --self-test: ok "
             f"({len(mutations)} registry mutations, "
-            f"{len(nondet_snippets)} nondeterminism probes, and the "
-            f"pipeline-rng probes all caught)"
+            f"{len(nondet_snippets)} nondeterminism probes, the "
+            f"pipeline-rng probes and {len(impure_snippets)} impure-policy "
+            f"probes all caught)"
         )
     return 1 if failures else 0
 
